@@ -440,9 +440,14 @@ int cmd_degrade(const Options& opt, std::ostream& out) {
     }
   }
 
-  const fi::DegradeReport report =
-      fi::run_degraded_lifetime(accel, net, dopt, [] {
-        tick_interrupt_budget();
+  // The engine polls at epoch boundaries, not every iteration; ticking by
+  // the iterations elapsed keeps simulate_interrupt_after(N) meaning
+  // "after N iterations".
+  std::int64_t last_poll = dopt.resume != nullptr ? cp.progress : 0;
+  const fi::DegradeReport report = fi::run_degraded_lifetime(
+      accel, net, dopt, [&last_poll](std::int64_t completed) {
+        tick_interrupt_budget(completed - last_poll);
+        last_poll = completed;
         return interrupted();
       });
 

@@ -1,5 +1,8 @@
 #include "cli/signals.hpp"
 
+#include <algorithm>
+#include <limits>
+
 #if defined(__unix__) || defined(__APPLE__)
 #include <csignal>
 #include <unistd.h>
@@ -76,9 +79,13 @@ void simulate_interrupt_after(int units) {
   g_interrupt_budget.store(units, std::memory_order_relaxed);
 }
 
-void tick_interrupt_budget() {
-  if (g_interrupt_budget.load(std::memory_order_relaxed) < 0) return;
-  if (g_interrupt_budget.fetch_sub(1, std::memory_order_relaxed) <= 1) {
+void tick_interrupt_budget(std::int64_t units) {
+  if (units <= 0 || g_interrupt_budget.load(std::memory_order_relaxed) < 0) {
+    return;
+  }
+  const int step = static_cast<int>(
+      std::min<std::int64_t>(units, std::numeric_limits<int>::max()));
+  if (g_interrupt_budget.fetch_sub(step, std::memory_order_relaxed) <= step) {
     g_interrupt_budget.store(-1, std::memory_order_relaxed);
     g_interrupted.store(true, std::memory_order_relaxed);
   }

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstdint>
 
 /// \file signals.hpp
 /// SIGINT/SIGTERM handling for the long-running `rota` verbs (serve,
@@ -46,13 +47,14 @@ void install_signal_handlers();
 void simulate_interrupt();
 void clear_interrupt();
 
-/// Deterministic mid-run interruption for tests: the flag rises after
-/// `units` more tick_interrupt_budget() calls (each completed sweep cell
-/// or mc step ticks once). Negative disables the budget (the default).
+/// Deterministic mid-run interruption for tests: the flag rises once
+/// `units` more units of work have been ticked (each completed sweep cell
+/// or mc step ticks one, each degrade iteration one). Negative disables
+/// the budget (the default).
 void simulate_interrupt_after(int units);
 
-/// Called by the checkpointable verbs after each completed unit of work;
-/// a no-op unless simulate_interrupt_after armed a budget.
-void tick_interrupt_budget();
+/// Called by the checkpointable verbs after completing `units` units of
+/// work; a no-op unless simulate_interrupt_after armed a budget.
+void tick_interrupt_budget(std::int64_t units = 1);
 
 }  // namespace rota::cli

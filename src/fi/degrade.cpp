@@ -8,6 +8,7 @@
 
 #include "obs/event_log.hpp"
 #include "obs/metrics.hpp"
+#include "obs/progress.hpp"
 #include "sched/array_state.hpp"
 #include "sched/mapper.hpp"
 #include "util/check.hpp"
@@ -380,10 +381,6 @@ DegradeReport run_degraded_lifetime(const arch::AcceleratorConfig& config,
   };
 
   // ---- the repair-and-reschedule loop --------------------------------
-  bool needs_resched = false;
-  bool stop_now = false;
-  bool autosave_due = false;
-
   const auto apply_fault = [&](std::int64_t g, std::int64_t u, std::int64_t v,
                                const char* label, std::int64_t restore_after) {
     const rel::SpareRemapper::Outcome outcome = remapper.fault_primary(u, v);
@@ -419,13 +416,40 @@ DegradeReport run_degraded_lifetime(const arch::AcceleratorConfig& config,
     }
   };
 
-  std::int64_t g_base = it;
-  const auto sampler = [&](std::int64_t local,
-                           const wear::UsageTracker& tracker) -> bool {
-    const std::int64_t g = g_base + local;
-    const std::vector<std::int64_t>& usage = tracker.usage().cells();
+  const auto retire_at = [&](std::int64_t g, std::int64_t live,
+                             const std::string& why,
+                             const std::string& log_message) {
+    report.retired = true;
+    report.retired_at = g;
+    csv_row(g, "retire", -1, -1, live);
+    human("it=" + std::to_string(g) + " retire (" + why + ")");
+    obs::log_event(obs::Severity::kWarn, "degrade",
+                   log_message + " at it=" + std::to_string(g));
+  };
 
-    // Credit this iteration's work under the mapping it actually ran on.
+  obs::ProgressReporter progress("degrade " + net.abbr(),
+                                 options.iterations - it);
+  while (it < options.iterations) {
+    // The next boundary that needs a look: iteration 1 (the fault-free
+    // profile and the Weibull draw), the next pending event, the next
+    // autosave multiple, or the horizon. Nothing changes in between, so
+    // the simulator runs the epoch in one call and may jump whole periods.
+    std::int64_t g = it < 1 ? 1 : options.iterations;
+    for (const TimelineEvent& event : pending) {
+      if (event.iteration > it) g = std::min(g, event.iteration);
+    }
+    if (!options.checkpoint_path.empty()) {
+      g = std::min(g, it + options.checkpoint_every -
+                          it % options.checkpoint_every);
+    }
+    sim.run_iterations(schedule, policy, g - it);
+    progress.tick(g - it);
+    it = g;
+    const std::vector<std::int64_t>& usage = sim.tracker().usage().cells();
+
+    // Credit the epoch's work under the mapping it actually ran on: the
+    // dead set only changes at boundaries, so one delta per epoch sums
+    // exactly what per-iteration crediting would.
     for (std::size_t idx = 0; idx < usage.size(); ++idx) {
       const std::int64_t delta = usage[idx] - prev[idx];
       if (delta == 0) continue;
@@ -516,72 +540,50 @@ DegradeReport run_degraded_lifetime(const arch::AcceleratorConfig& config,
       const sched::ArrayState next(remapper);
       if (next.digest() != live_state.digest()) {
         // The live map changed (a fault the pool could not absorb, or a
-        // restore): retire if below threshold, else repair-and-reschedule.
-        if (cells - next.dead_count() < min_live) {
-          report.retired = true;
-          report.retired_at = g;
-          csv_row(g, "retire", -1, -1, cells - next.dead_count());
-          human("it=" + std::to_string(g) + " retire (live " +
-                std::to_string(cells - next.dead_count()) + " < " +
-                std::to_string(min_live) + ")");
-          obs::log_event(obs::Severity::kWarn, "degrade",
-                         "retirement threshold reached at it=" +
-                             std::to_string(g));
-          return false;
+        // restore): retire if below threshold, else repair-and-reschedule
+        // — unless this is the horizon, where no rebuild is needed.
+        const std::int64_t live = cells - next.dead_count();
+        if (live < min_live) {
+          retire_at(g, live,
+                    "live " + std::to_string(live) + " < " +
+                        std::to_string(min_live),
+                    "retirement threshold reached");
+          break;
         }
-        needs_resched = true;
+        if (g < options.iterations) {
+          try {
+            schedule = make_schedule(next);
+          } catch (const util::invariant_error&) {
+            retire_at(g, live, "no feasible schedule on the degraded array",
+                      "retired: no feasible schedule");
+            break;
+          }
+          live_state = next;
+          policy.set_mask(live_state);
+          ++report.reschedules;
+          csv_row(g, "reschedule", -1, -1, live_state.dead_count());
+          human("it=" + std::to_string(g) + " reschedule (dead=" +
+                std::to_string(live_state.dead_count()) + ", energy=" +
+                std::to_string(schedule.total_energy()) + ", cycles=" +
+                std::to_string(schedule.total_cycles()) + ")");
+          obs::log_event(obs::Severity::kInfo, "degrade",
+                         "rescheduled on degraded array (dead=" +
+                             std::to_string(live_state.dead_count()) +
+                             ") at it=" + std::to_string(g));
+        }
       }
     }
 
-    stop_now = should_stop && should_stop();
-    autosave_due = !options.checkpoint_path.empty() &&
-                   g % options.checkpoint_every == 0;
-    return !(stop_now || autosave_due || needs_resched);
-  };
-
-  while (it < options.iterations && !report.retired && !report.interrupted) {
-    needs_resched = false;
-    stop_now = false;
-    autosave_due = false;
-    g_base = it;
-    it += sim.run_iterations_while(schedule, policy, options.iterations - it,
-                                   sampler);
-    if (report.retired) break;
-    if (needs_resched && it < options.iterations) {
-      const sched::ArrayState next(remapper);
-      try {
-        schedule = make_schedule(next);
-      } catch (const util::invariant_error&) {
-        // No feasible mapping on what is left of the array.
-        report.retired = true;
-        report.retired_at = it;
-        csv_row(it, "retire", -1, -1, cells - next.dead_count());
-        human("it=" + std::to_string(it) +
-              " retire (no feasible schedule on the degraded array)");
-        obs::log_event(obs::Severity::kWarn, "degrade",
-                       "retired: no feasible schedule at it=" +
-                           std::to_string(it));
-        break;
-      }
-      live_state = next;
-      policy.set_mask(live_state);
-      ++report.reschedules;
-      csv_row(it, "reschedule", -1, -1, live_state.dead_count());
-      human("it=" + std::to_string(it) + " reschedule (dead=" +
-            std::to_string(live_state.dead_count()) + ", energy=" +
-            std::to_string(schedule.total_energy()) + ", cycles=" +
-            std::to_string(schedule.total_cycles()) + ")");
-      obs::log_event(obs::Severity::kInfo, "degrade",
-                     "rescheduled on degraded array (dead=" +
-                         std::to_string(live_state.dead_count()) +
-                         ") at it=" + std::to_string(it));
-    }
-    if (stop_now && it < options.iterations) {
+    if (should_stop && should_stop(g) && g < options.iterations) {
       report.interrupted = true;
-      save_checkpoint_at(it);
+      save_checkpoint_at(g);
       break;
     }
-    if (autosave_due) save_checkpoint_at(it);
+    if (!options.checkpoint_path.empty() &&
+        g % options.checkpoint_every == 0) {
+      save_checkpoint_at(g);
+      progress.note_checkpoint();
+    }
   }
   report.iterations_run = it;
   if (!report.interrupted) csv_row(it, "end", -1, -1, -1);

@@ -113,9 +113,12 @@ struct DegradeReport {
   std::string timeline_csv;         ///< deterministic CSV artifact
 };
 
-/// Checked at iteration boundaries; returning true stops the run after
-/// saving a checkpoint (when enabled). Empty = never stop early.
-using DegradeStopCheck = std::function<bool()>;
+/// Polled at every boundary the engine visits (see run_degraded_lifetime)
+/// with the completed-iteration count; returning true before the horizon
+/// stops the run after saving a checkpoint (when enabled). Boundaries are
+/// epoch ends, not every iteration, so a caller that budgets by
+/// iterations must count `completed`, not calls. Empty = never stop early.
+using DegradeStopCheck = std::function<bool(std::int64_t completed)>;
 
 /// Fingerprint of the work a degrade checkpoint belongs to: workload,
 /// array geometry, horizon, spares, seed, beta, mode, objective, policy,
@@ -125,7 +128,19 @@ using DegradeStopCheck = std::function<bool()>;
     const arch::AcceleratorConfig& config, const DegradeOptions& options);
 
 /// Run the degraded-mode lifetime. Deterministic for fixed inputs at any
-/// `threads`; byte-equal across interrupt/resume. \pre iterations >= 1,
+/// `threads`; byte-equal across interrupt/resume.
+///
+/// The run is a sequence of event epochs. Each epoch ends at the next
+/// boundary that needs a look — iteration 1 (fault-free profile, Weibull
+/// draw), the next pending event, the next `checkpoint_every` multiple
+/// when checkpointing, or the horizon — and runs in one
+/// WearSimulator::run_iterations call, which jumps whole rotation periods
+/// (simulator.hpp). Redirected and lost units are credited once per epoch
+/// from its usage delta on dead cells; the dead set is constant inside an
+/// epoch, so the sum is the per-iteration one. At the boundary the engine
+/// applies due events, remaps, retires or reschedules, polls
+/// `should_stop`, and autosaves. The timeline, report and checkpoints are
+/// byte-identical to stepping one iteration at a time. \pre iterations >= 1,
 /// spares >= 0, retire_live_fraction in (0, 1]; coordinate faults inside
 /// the array.
 [[nodiscard]] DegradeReport run_degraded_lifetime(

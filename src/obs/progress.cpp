@@ -18,6 +18,8 @@ namespace {
 std::atomic<bool> g_enabled{false};
 std::atomic<bool> g_force_tty{false};
 std::atomic<std::int64_t> g_heartbeat_interval_ms{5000};
+/// Live reporters on this thread; only the outermost one reports.
+thread_local int t_live_reporters = 0;
 
 bool stderr_is_tty() {
 #if defined(_WIN32)
@@ -54,11 +56,14 @@ void ProgressReporter::set_heartbeat_interval_ms(std::int64_t ms) {
 }
 
 ProgressReporter::ProgressReporter(std::string label, std::int64_t total)
-    : label_(std::move(label)), total_(total) {
+    : label_(std::move(label)),
+      total_(total),
+      nested_(t_live_reporters++ > 0) {
   const bool tty =
       g_force_tty.load(std::memory_order_relaxed) || stderr_is_tty();
-  active_ = enabled() && total_ > 0 && tty;
-  heartbeat_ = !active_ && total_ > 0 && !tty && EventLog::global().enabled();
+  const bool report = total_ > 0 && !nested_;
+  active_ = report && enabled() && tty;
+  heartbeat_ = report && !active_ && !tty && EventLog::global().enabled();
   if (!active_ && !heartbeat_) return;
   start_ = std::chrono::steady_clock::now();
   last_print_ = start_ - kMinPrintInterval;  // first tick prints immediately
@@ -150,6 +155,9 @@ void ProgressReporter::finish() {
   heartbeat_ = false;
 }
 
-ProgressReporter::~ProgressReporter() { finish(); }
+ProgressReporter::~ProgressReporter() {
+  finish();
+  --t_live_reporters;
+}
 
 }  // namespace rota::obs

@@ -19,6 +19,10 @@
 /// rate, ETA and — when note_checkpoint() is being called — the age of
 /// the last checkpoint, so a headless sweep/mc run is observable from its
 /// event stream instead of invisible until exit.
+///
+/// Only the outermost live reporter on a thread reports: one constructed
+/// while another is alive stays inert, so a verb that drives many short
+/// inner runs (degrade epochs, sweep cells) shows one line, its own.
 
 namespace rota::obs {
 
@@ -67,6 +71,7 @@ class ProgressReporter {
   bool printed_ = false;
   bool heartbeat_logged_ = false;
   bool has_checkpoint_ = false;
+  bool nested_ = false;     ///< another reporter was live at construction
   std::chrono::steady_clock::time_point start_{};
   std::chrono::steady_clock::time_point last_print_{};
   std::chrono::steady_clock::time_point last_heartbeat_{};

@@ -133,9 +133,11 @@ std::int64_t MaskedPolicy::bulk_process(const sched::UtilSpace& space,
     return tiles;
   }
 
-  // Per-tile, the k-th tile of a pass gets the k-th feasible origin and a
-  // whole pass over the feasible subset consumes exactly one cycle, so
-  // whole passes are state-neutral and only the remainder advances.
+  // Per-tile, the k-th tile of a pass gets the k-th feasible origin. Whole
+  // passes are treated as state-neutral and only the remainder advances;
+  // the per-tile path instead ends a whole pass one raw step past the
+  // last feasible origin (see the header), which differs unless that
+  // origin closes the cycle.
   const auto live = static_cast<std::int64_t>(feasible.size());
   const std::int64_t passes = tiles / live;
   const std::int64_t rest = tiles % live;

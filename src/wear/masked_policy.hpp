@@ -28,9 +28,11 @@
 /// transition is an invertible map, so their origin stream is a pure
 /// cycle of length ≤ w·h: discover the cycle once (on a clone), filter
 /// it against the mask, and batch whole passes through the feasible
-/// subset via UsageTracker::add_spaces — with the inner state advanced by
-/// exactly the raw steps the per-tile path would have consumed, keeping
-/// the two paths bit-identical.
+/// subset via UsageTracker::add_spaces. Placements match the per-tile
+/// path exactly; the inner state does too, except after a whole number
+/// of passes, where the bulk path leaves it at the cycle start and the
+/// per-tile path one raw step past the last feasible origin (DESIGN.md
+/// §16.2 — kept because recorded degrade timelines depend on it).
 
 namespace rota::wear {
 
@@ -57,6 +59,11 @@ class MaskedPolicy final : public Policy {
   }
   void unpack_state(const std::vector<std::uint64_t>& state) override {
     inner_->unpack_state(state);
+  }
+  /// The mask only changes on a remap, between simulator runs, so the
+  /// inner state is the whole story.
+  [[nodiscard]] bool pack_state_is_complete() const override {
+    return inner_->pack_state_is_complete();
   }
 
   /// Swap in a new live map after a remap/reschedule; the inner rotation

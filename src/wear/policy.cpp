@@ -49,6 +49,7 @@ class BaselinePolicy final : public Policy {
   void begin_layer(const sched::UtilSpace&) override {}
   Placement next_origin(const sched::UtilSpace&) override { return {0, 0}; }
   void reset() override {}
+  bool pack_state_is_complete() const override { return true; }
   std::unique_ptr<Policy> clone() const override {
     return std::make_unique<BaselinePolicy>(*this);
   }
@@ -164,6 +165,8 @@ class StridePolicy : public Policy {
   std::vector<std::uint64_t> pack_state() const override {
     return {static_cast<std::uint64_t>(u_), static_cast<std::uint64_t>(v_)};
   }
+
+  bool pack_state_is_complete() const override { return true; }
 
   void unpack_state(const std::vector<std::uint64_t>& state) override {
     ROTA_REQUIRE(state.size() == 2, "stride policy state is two words");
@@ -283,6 +286,8 @@ class DiagonalStridePolicy final : public Policy {
   std::vector<std::uint64_t> pack_state() const override {
     return {static_cast<std::uint64_t>(u_), static_cast<std::uint64_t>(v_)};
   }
+
+  bool pack_state_is_complete() const override { return true; }
 
   void unpack_state(const std::vector<std::uint64_t>& state) override {
     ROTA_REQUIRE(state.size() == 2, "DiagonalStride state is two words");

@@ -71,6 +71,15 @@ class Policy {
   }
   virtual void unpack_state(const std::vector<std::uint64_t>& state);
 
+  /// True if pack_state() is a complete description of the policy's
+  /// future behaviour: two iteration boundaries with equal packed states
+  /// place every later tile identically. WearSimulator::run_iterations
+  /// then jumps whole iteration periods (simulator.hpp). Opting in is a
+  /// promise; the default is false, so decorators that must observe every
+  /// tile (TracingPolicy) and policies whose state never repeats
+  /// (RandomStart) keep literal stepping.
+  [[nodiscard]] virtual bool pack_state_is_complete() const { return false; }
+
   /// Optional O(1) fast path: record up to `tiles` allocations of `space`
   /// into `tracker` — each weighted by `weight` counts — with an effect
   /// identical to that many next_origin() calls, returning how many tiles

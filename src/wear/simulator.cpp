@@ -1,6 +1,8 @@
 #include "wear/simulator.hpp"
 
 #include <algorithm>
+#include <map>
+#include <vector>
 
 #include "obs/metrics.hpp"
 #include "obs/progress.hpp"
@@ -93,12 +95,53 @@ void WearSimulator::run_iterations(const sched::NetworkSchedule& schedule,
   obs::ProgressReporter progress("wear " + policy.name() +
                                      (label.empty() ? "" : " " + label),
                                  iterations);
-  for (std::int64_t it = 1; it <= iterations; ++it) {
+  std::int64_t done = 0;
+  const auto step = [&] {
     run_iteration(schedule, policy);
     progress.tick();
-    if (sampler) sampler(it, tracker_);
+    ++done;
+  };
+
+  std::int64_t skipped = 0;
+  if (!sampler && options_.fast_forward && policy.pack_state_is_complete()) {
+    // Iteration-period jump: step literally, noting the packed state at
+    // each boundary. Once a state repeats after P iterations, the wear of
+    // every later P-iteration stretch is identical, so record one more
+    // period's usage delta and add it K times. The policy ends a whole
+    // number of periods on, in the state it already holds.
+    const auto cap = static_cast<std::size_t>(cfg_.array_width *
+                                              cfg_.array_height) + 1;
+    std::map<std::vector<std::uint64_t>, std::int64_t> seen;
+    seen.emplace(policy.pack_state(), 0);
+    while (done < iterations) {
+      step();
+      const auto [at, fresh] = seen.emplace(policy.pack_state(), done);
+      if (fresh) {
+        if (seen.size() > cap) break;  // no period in reach; stay literal
+        continue;
+      }
+      const std::int64_t period = done - at->second;
+      if (iterations - done < 2 * period) break;
+      const std::vector<std::int64_t> before = tracker_.usage().cells();
+      for (std::int64_t i = 0; i < period; ++i) step();
+      std::vector<std::int64_t> delta = tracker_.usage().cells();
+      for (std::size_t i = 0; i < delta.size(); ++i) delta[i] -= before[i];
+      const std::int64_t periods = (iterations - done) / period;
+      tracker_.add_cells(delta, periods);
+      skipped = periods * period;
+      done += skipped;
+      progress.tick(skipped);
+      break;
+    }
   }
-  obs::MetricsRegistry::global().add("wear.iterations", iterations);
+  while (done < iterations) {
+    step();
+    if (sampler) sampler(done, tracker_);
+  }
+
+  auto& reg = obs::MetricsRegistry::global();
+  reg.add("wear.iterations", iterations);
+  reg.add("wear.iterations_fast_forwarded", skipped);
 }
 
 std::int64_t WearSimulator::run_iterations_while(

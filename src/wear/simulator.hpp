@@ -12,8 +12,11 @@
 /// The wear simulator: drives a wear-leveling policy over a network
 /// schedule, tile by tile, accumulating per-PE usage counts — the
 /// simulator the paper "composed to track the usage count of individual
-/// PEs" (§V). A periodicity fast-forward (exact, property-tested) makes
-/// thousand-iteration runs of billion-tile workloads tractable.
+/// PEs" (§V). Two exact, property-tested fast-forwards make long runs of
+/// billion-tile workloads tractable: inside a layer, policies batch whole
+/// stride periods (Policy::bulk_process); across iterations,
+/// run_iterations jumps whole iteration periods once the policy's packed
+/// state repeats at an iteration boundary.
 
 namespace rota::wear {
 
@@ -31,7 +34,8 @@ enum class WearMetric {
 
 /// Simulator knobs.
 struct SimulatorOptions {
-  /// Use policies' exact bulk fast path where available. Disable to force
+  /// Use the exact fast paths where available: policies' per-layer bulk
+  /// path and the iteration-period jump of run_iterations. Disable to force
   /// the per-tile reference path (tests compare the two).
   bool fast_forward = true;
   WearMetric metric = WearMetric::kAllocations;
@@ -62,6 +66,19 @@ class WearSimulator {
       std::function<void(std::int64_t, const UsageTracker&)>;
 
   /// Run `iterations` inference passes; `sampler` may be empty.
+  ///
+  /// Without a sampler, with fast_forward on and a policy whose
+  /// pack_state_is_complete(), the run jumps whole iteration periods: it
+  /// steps literally while noting the packed state at each boundary (at
+  /// most w·h+1 states, never a usage snapshot per iteration); when a
+  /// state repeats after P iterations it steps one more period to record
+  /// its usage delta, adds K× that delta through
+  /// UsageTracker::add_cells, and steps the remainder literally. Usage
+  /// grid and policy state are bit-identical to literal stepping. Counter
+  /// `wear.iterations` counts every simulated iteration, jumped or not;
+  /// `wear.iterations_fast_forwarded` counts the jumped ones. A sampler
+  /// sees every iteration, so sampled runs always step literally
+  /// (DESIGN.md §16.4).
   void run_iterations(const sched::NetworkSchedule& schedule, Policy& policy,
                       std::int64_t iterations,
                       const IterationSampler& sampler = {});

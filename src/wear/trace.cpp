@@ -45,6 +45,14 @@ void TracingPolicy::reset() {
   layer_counter_ = -1;
 }
 
+std::vector<std::uint64_t> TracingPolicy::pack_state() const {
+  return inner_->pack_state();
+}
+
+void TracingPolicy::unpack_state(const std::vector<std::uint64_t>& state) {
+  inner_->unpack_state(state);
+}
+
 std::unique_ptr<Policy> TracingPolicy::clone() const {
   auto copy = std::make_unique<TracingPolicy>(inner_->clone());
   copy->records_ = records_;

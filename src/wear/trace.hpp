@@ -11,8 +11,9 @@
 /// anchoring decision a policy makes. Traces are what an RTL or FPGA
 /// validation flow diffs against the hardware controller's (u, v)
 /// sequence, and they double as golden files for regression testing.
-/// Note that tracing forces the per-tile path (the periodicity
-/// fast-forward is bypassed so every placement is observed).
+/// Note that tracing forces the per-tile path (both the per-layer bulk
+/// path and the iteration-period jump are bypassed so every placement is
+/// observed).
 
 namespace rota::wear {
 
@@ -39,7 +40,12 @@ class TracingPolicy final : public Policy {
   Placement next_origin(const sched::UtilSpace& space) override;
   void reset() override;
   std::unique_ptr<Policy> clone() const override;
-  // Intentionally no bulk_process override: tracing needs every tile.
+  /// The inner policy's rotation state (the trace itself is not part of
+  /// it), so a traced stride policy checkpoints and resumes mid-rotation.
+  [[nodiscard]] std::vector<std::uint64_t> pack_state() const override;
+  void unpack_state(const std::vector<std::uint64_t>& state) override;
+  // Intentionally no bulk_process or pack_state_is_complete override:
+  // tracing needs every tile.
 
   [[nodiscard]] const std::vector<TraceRecord>& records() const { return records_; }
   void clear_trace() { records_.clear(); }

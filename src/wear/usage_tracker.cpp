@@ -210,27 +210,38 @@ void UsageTracker::clear() {
   dirty_ = true;
 }
 
+void UsageTracker::add_cells(const std::vector<std::int64_t>& cells,
+                             std::int64_t times) {
+  ROTA_REQUIRE(cells.size() == static_cast<std::size_t>(width_ * height_),
+               "add_cells grid does not match the tracker geometry");
+  ROTA_REQUIRE(times >= 0, "add_cells repeat count must be non-negative");
+  std::int64_t sum = 0;
+  for (const std::int64_t count : cells) {
+    ROTA_REQUIRE(count >= 0, "add_cells counters must be non-negative");
+    sum = util::checked_add(sum, count);
+  }
+  const std::int64_t new_total =
+      util::checked_add(total_allocations_, util::checked_mul(sum, times));
+  if (new_total == total_allocations_) return;
+  // One 1×1 rect per cell; count·times ≤ sum·times, which was checked.
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    if (cells[i] == 0) continue;
+    const auto c = static_cast<std::int64_t>(i) % width_;
+    const auto r = static_cast<std::int64_t>(i) / width_;
+    add_rect(c, r, c + 1, r + 1, cells[i] * times);
+  }
+  total_allocations_ = new_total;
+  recompute_budget();
+  dirty_ = true;
+}
+
 void UsageTracker::restore_cells(const std::vector<std::int64_t>& cells) {
   ROTA_REQUIRE(cells.size() == static_cast<std::size_t>(width_ * height_),
                "restore_cells grid does not match the tracker geometry");
   clear();
-  // Re-seed the difference array with one 1×1 rect per cell; the next
-  // materialize() reproduces exactly the snapshotted counters, and the
-  // total is rebuilt with the same overflow-checked chain the allocation
-  // paths use.
-  std::int64_t total = 0;
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const std::int64_t count = cells[i];
-    ROTA_REQUIRE(count >= 0, "restore_cells counters must be non-negative");
-    total = util::checked_add(total, count);
-    if (count == 0) continue;
-    const auto c = static_cast<std::int64_t>(i) % width_;
-    const auto r = static_cast<std::int64_t>(i) / width_;
-    add_rect(c, r, c + 1, r + 1, count);
-  }
-  total_allocations_ = total;
-  recompute_budget();
-  dirty_ = true;
+  // The next materialize() reproduces exactly the snapshotted counters,
+  // and the total is rebuilt with the same overflow-checked chain.
+  add_cells(cells, 1);
 }
 
 std::int64_t UsageTracker::total_pe_allocations() const {

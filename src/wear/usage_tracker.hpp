@@ -66,6 +66,13 @@ class UsageTracker {
   /// Add `count` to every PE (used by the periodic fast-forward path).
   void add_uniform(std::int64_t count);
 
+  /// Add `times`·cells[i] to every PE i (row-major, w·h cells, all
+  /// non-negative): the iteration-period jump's bulk step, which replays
+  /// one recorded period's usage delta `times` over. The new total is
+  /// overflow-checked before any cell is touched, so a throw leaves the
+  /// tracker unchanged. \pre cells.size() == w·h, times >= 0.
+  void add_cells(const std::vector<std::int64_t>& cells, std::int64_t times);
+
   /// Materialized per-PE counters.
   [[nodiscard]] const util::Grid<std::int64_t>& usage() const;
 

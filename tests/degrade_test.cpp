@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <sstream>
@@ -109,21 +110,24 @@ TEST(Degrade, TimelineIsBitIdenticalAcrossThreadCounts) {
 
 // ------------------------------------------------------ interrupt / resume
 
+/// Stop the run at the first boundary at or past iteration `stop_at`,
+/// then resume it; `*progress` receives the checkpoint's iteration.
 DegradeReport run_with_stop_at(const DegradeOptions& base,
-                               const std::string& ckpt,
-                               std::int64_t stop_boundary) {
+                               const std::string& ckpt, std::int64_t stop_at,
+                               std::int64_t* progress) {
   DegradeOptions opt = base;
   opt.checkpoint_path = ckpt;
-  std::int64_t boundaries = 0;
+  opt.checkpoint_every = 10;  // boundaries between the fault stamps
   const DegradeReport stopped = run_degraded_lifetime(
       arch::rota_like(), alexnet(), opt,
-      [&boundaries, stop_boundary] { return ++boundaries >= stop_boundary; });
+      [stop_at](std::int64_t it) { return it >= stop_at; });
   EXPECT_TRUE(stopped.interrupted);
   EXPECT_TRUE(std::filesystem::exists(ckpt));
 
   auto loaded = load_checkpoint(ckpt);
   EXPECT_TRUE(loaded.ok());
   const Checkpoint cp = std::move(loaded).take();
+  *progress = cp.progress;
   DegradeOptions resume = base;
   resume.checkpoint_path = ckpt;
   resume.resume = &cp;
@@ -144,10 +148,13 @@ TEST(Degrade, ResumeAcrossMidRunRemapIsByteEqual) {
   EXPECT_GT(reference.remaps, 0);
   EXPECT_GT(reference.unmapped_faults, 0);
 
-  // Stop between the second and third fault (boundary 50): the remapper
+  // Stop between the second and third fault (iteration 50): the remapper
   // is mid-service, the schedule has been rebuilt once.
+  std::int64_t progress = 0;
   const DegradeReport mid =
-      run_with_stop_at(base, dir.file("mid.ckpt"), 50);
+      run_with_stop_at(base, dir.file("mid.ckpt"), 50, &progress);
+  EXPECT_GT(progress, 40);
+  EXPECT_LT(progress, 60);
   EXPECT_EQ(mid.timeline_csv, reference.timeline_csv);
   EXPECT_EQ(mid.events, reference.events);
   EXPECT_EQ(mid.remaps, reference.remaps);
@@ -160,7 +167,8 @@ TEST(Degrade, ResumeAcrossMidRunRemapIsByteEqual) {
   // Stop exactly on a fault boundary — the hardest seam: the fault, the
   // remap/reschedule and the checkpoint land on the same iteration.
   const DegradeReport on_fault =
-      run_with_stop_at(base, dir.file("onfault.ckpt"), 40);
+      run_with_stop_at(base, dir.file("onfault.ckpt"), 40, &progress);
+  EXPECT_EQ(progress, 40);
   EXPECT_EQ(on_fault.timeline_csv, reference.timeline_csv);
   EXPECT_EQ(on_fault.events, reference.events);
   EXPECT_EQ(on_fault.redirected_units, reference.redirected_units);
@@ -170,12 +178,11 @@ TEST(Degrade, StaleCheckpointIsRefused) {
   TempDir dir;
   const std::string ckpt = dir.file("stale.ckpt");
   const DegradeOptions original = base_options({"pe=5,5@20"});
-  std::int64_t boundaries = 0;
   DegradeOptions opt = original;
   opt.checkpoint_path = ckpt;
   const DegradeReport stopped =
       run_degraded_lifetime(arch::rota_like(), alexnet(), opt,
-                            [&boundaries] { return ++boundaries >= 30; });
+                            [](std::int64_t it) { return it >= 30; });
   ASSERT_TRUE(stopped.interrupted);
 
   auto loaded = load_checkpoint(ckpt);
@@ -195,6 +202,103 @@ TEST(Degrade, StaleCheckpointIsRefused) {
   EXPECT_THROW(
       run_degraded_lifetime(arch::rota_like(), alexnet(), oblivious),
       util::precondition_error);
+}
+
+// ------------------------------------------------------ golden timelines
+
+/// FNV-1a over `text`, as 16 hex digits.
+std::string fnv1a_hex(const std::string& text) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : text) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(h));
+  return buf;
+}
+
+/// Everything a run reports that the engine computes, in one canonical
+/// text: timeline, events, counters and the observed live wear rates.
+std::string report_digest(const DegradeReport& r) {
+  std::ostringstream out;
+  out << r.timeline_csv << "|events";
+  for (const std::string& line : r.events) out << '\n' << line;
+  out << "|counters";
+  for (const std::int64_t v :
+       {r.iterations_run, std::int64_t{r.retired}, r.retired_at,
+        r.faults_injected, r.transient_restores, r.remaps, r.unmapped_faults,
+        r.reschedules, r.redirected_units, r.lost_units, r.first_unspared_at,
+        r.live_pes, r.retire_budget, r.mttf_tolerance}) {
+    out << ' ' << v;
+  }
+  out << "|alphas";
+  char buf[48];
+  for (const double a : r.live_alphas) {
+    std::snprintf(buf, sizeof buf, " %a", a);
+    out << buf;
+  }
+  return fnv1a_hex(out.str());
+}
+
+/// The EXPERIMENTS.md AlexNet plan over `iterations`.
+DegradeOptions experiments_plan(std::int64_t iterations,
+                                DegradeMode mode = DegradeMode::kFaultAware) {
+  DegradeOptions opt = base_options({"pe=5,5@64", "rank=0@192", "weibull=4"});
+  opt.iterations = iterations;
+  opt.retire_live_fraction = 0.8;
+  opt.mode = mode;
+  return opt;
+}
+
+// The digests were recorded from the engine that stepped and credited one
+// iteration at a time; the epoch engine must reproduce them byte for byte.
+TEST(Degrade, GoldenTimelinesMatchTheIterationByIterationEngine) {
+  struct Golden {
+    const char* name;
+    DegradeOptions options;
+    const char* digest;
+  };
+  constexpr DegradeMode kAware = DegradeMode::kFaultAware;
+  constexpr DegradeMode kOblivious = DegradeMode::kFaultOblivious;
+  std::vector<Golden> runs = {
+      {"experiments", experiments_plan(512, kAware), "4537d8e493b3daa0"},
+      {"experiments", experiments_plan(512, kOblivious), "5892b2460c27ee30"},
+      {"experiments", experiments_plan(16384, kAware), "50b2b0c8218b2ee6"},
+      {"experiments", experiments_plan(16384, kOblivious),
+       "b6d23f4a705de02c"},
+  };
+  {  // CI degrade-smoke's thread-determinism plan.
+    DegradeOptions opt = base_options({"pe=5,5@20", "rank=2@40", "weibull=4"});
+    opt.iterations = 128;
+    opt.spares = 3;
+    opt.seed = 11;
+    opt.retire_live_fraction = 0.75;
+    runs.push_back({"ci-threads", opt, "404dd0e36eae32f5"});
+  }
+  {  // CI degrade-smoke's interrupt/resume plan.
+    DegradeOptions opt = base_options({"pe=5,5@20", "pe=8,3@40", "pe=2,9@60"});
+    opt.iterations = 50000;
+    opt.spares = 1;
+    opt.retire_live_fraction = 0.75;
+    runs.push_back({"ci-resume", opt, "ae442de2030720cb"});
+  }
+  for (const Golden& g : runs) {
+    const DegradeReport report =
+        run_degraded_lifetime(arch::rota_like(), alexnet(), g.options);
+    EXPECT_EQ(report_digest(report), g.digest)
+        << g.name << " x" << g.options.iterations << " "
+        << to_string(g.options.mode);
+  }
+
+  // An autosaved checkpoint blob is byte-identical too.
+  TempDir dir;
+  DegradeOptions opt = experiments_plan(16384);
+  opt.checkpoint_path = dir.file("golden.ckpt");
+  opt.checkpoint_every = 512;
+  (void)run_degraded_lifetime(arch::rota_like(), alexnet(), opt);
+  EXPECT_EQ(fnv1a_hex(util::read_text_file(opt.checkpoint_path)),
+            "62617e03cb3ae0eb");
 }
 
 // ------------------------------------------------- exhaustion / retirement

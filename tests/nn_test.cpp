@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
 
 #include "nn/layer.hpp"
@@ -156,6 +157,10 @@ struct ZooExpectation {
   double max_gmacs;
   std::size_t min_layers;
 };
+
+// Without a printer gtest dumps the raw bytes of the struct, pointer included,
+// so the listed test names would change with every address-space layout.
+void PrintTo(const ZooExpectation& expect, std::ostream* os) { *os << expect.abbr; }
 
 class WorkloadZoo : public ::testing::TestWithParam<ZooExpectation> {};
 

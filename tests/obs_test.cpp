@@ -371,5 +371,29 @@ TEST(Progress, ZeroTotalNeverPrints) {
   EXPECT_EQ(capture.str(), "");
 }
 
+TEST(Progress, OnlyTheOutermostReporterPrints) {
+  ProgressReporter::set_enabled(true);
+  ProgressReporter::force_tty(true);
+  CerrCapture capture;
+  {
+    ProgressReporter outer("degrade AN", 2);
+    for (int epoch = 0; epoch < 2; ++epoch) {
+      ProgressReporter inner("wear epoch", 3);
+      for (int i = 0; i < 3; ++i) inner.tick();
+      outer.tick();
+    }
+  }
+  {
+    ProgressReporter after("after", 1);  // the outer one is gone
+    after.tick();
+  }
+  ProgressReporter::force_tty(false);
+  ProgressReporter::set_enabled(false);
+  const std::string out = capture.str();
+  EXPECT_NE(out.find("degrade AN"), std::string::npos);
+  EXPECT_EQ(out.find("wear epoch"), std::string::npos);
+  EXPECT_NE(out.find("after"), std::string::npos);
+}
+
 }  // namespace
 }  // namespace rota::obs

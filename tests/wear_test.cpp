@@ -2,12 +2,17 @@
 
 #include <cmath>
 #include <limits>
+#include <map>
+#include <memory>
 #include <sstream>
 
 #include "arch/config.hpp"
+#include "obs/metrics.hpp"
+#include "sched/array_state.hpp"
 #include "sched/schedule.hpp"
 #include "util/math.hpp"
 #include "util/rng.hpp"
+#include "wear/masked_policy.hpp"
 #include "wear/policy.hpp"
 #include "wear/rwl_math.hpp"
 #include "wear/trace.hpp"
@@ -224,6 +229,41 @@ TEST(UsageTracker, AmortizedBudgetStaysExactNearOverflow) {
   }
   EXPECT_THROW(t.add_uniform(20), util::invariant_error);
   EXPECT_EQ(t.total_pe_allocations(), expected);
+}
+
+TEST(UsageTracker, AddCellsMatchesRepeatedAddition) {
+  UsageTracker delta(5, 4);
+  delta.add_space(3, 2, 4, 3, 2, true);  // wraps both axes
+  delta.add_space(0, 0, 1, 1, 5, false);
+  UsageTracker jumped(5, 4);
+  UsageTracker stepped(5, 4);
+  jumped.add_space(1, 1, 2, 2, 1, false);
+  stepped.add_space(1, 1, 2, 2, 1, false);
+  jumped.add_cells(delta.usage().cells(), 7);
+  for (int k = 0; k < 7; ++k) {
+    stepped.add_space(3, 2, 4, 3, 2, true);
+    stepped.add_space(0, 0, 1, 1, 5, false);
+  }
+  EXPECT_EQ(jumped.usage().cells(), stepped.usage().cells());
+  EXPECT_EQ(jumped.total_pe_allocations(), stepped.total_pe_allocations());
+  // Still usable afterwards, with a coherent overflow budget.
+  jumped.add_space(4, 3, 5, 4, 3, true);
+  stepped.add_space(4, 3, 5, 4, 3, true);
+  EXPECT_EQ(jumped.usage().cells(), stepped.usage().cells());
+}
+
+TEST(UsageTracker, AddCellsRejectsBadInputBeforeMutation) {
+  UsageTracker t(3, 2);
+  t.add_space(0, 0, 3, 2, 1, false);
+  const std::vector<std::int64_t> before = t.usage().cells();
+  EXPECT_THROW(t.add_cells({1, 2, 3}, 1), precondition_error);  // size
+  EXPECT_THROW(t.add_cells({1, 0, 0, -1, 0, 0}, 1), precondition_error);
+  EXPECT_THROW(t.add_cells({1, 0, 0, 0, 0, 0}, -1), precondition_error);
+  EXPECT_THROW(t.add_cells({1, 0, 0, 0, 0, 0},
+                           std::numeric_limits<std::int64_t>::max()),
+               util::invariant_error);  // total overflow
+  EXPECT_EQ(t.usage().cells(), before);
+  EXPECT_EQ(t.total_pe_allocations(), 6);
 }
 
 // ------------------------------------------------------------- RWL math ----
@@ -746,6 +786,28 @@ TEST(Trace, CloneCarriesTraceState) {
   EXPECT_EQ(copy_traced->records().size(), 1u);
 }
 
+TEST(Trace, PackStateRoundTripsTheInnerRotation) {
+  const sched::UtilSpace space{4, 3};
+  TracingPolicy original(make_policy(PolicyKind::kRwlRo, 14, 12));
+  original.begin_layer(space);
+  for (int t = 0; t < 9; ++t) original.next_origin(space);
+  const std::vector<std::uint64_t> state = original.pack_state();
+  // The inner stride state mid-rotation, not the stateless default.
+  ASSERT_EQ(state.size(), 2u);
+  EXPECT_NE(state, (std::vector<std::uint64_t>{0, 0}));
+
+  TracingPolicy restored(make_policy(PolicyKind::kRwlRo, 14, 12));
+  restored.unpack_state(state);
+  EXPECT_EQ(restored.pack_state(), state);
+  restored.begin_layer(space);
+  for (int t = 0; t < 12; ++t) {
+    const Placement a = original.next_origin(space);
+    const Placement b = restored.next_origin(space);
+    EXPECT_EQ(a.u, b.u);
+    EXPECT_EQ(a.v, b.v);
+  }
+}
+
 // ------------------------------------------------------------ simulator ----
 
 sched::NetworkSchedule tiny_schedule(arch::AcceleratorConfig cfg) {
@@ -991,6 +1053,167 @@ TEST(Simulator, OversizedSpaceRejected) {
   ns.config = arch::rota_like();
   ns.layers.push_back(layer_of(15, 3, 4));
   EXPECT_THROW(sim.run_layer(ns.layers[0], *policy), precondition_error);
+}
+
+// ------------------------------------------------ iteration-period jump ----
+
+/// Three layers with distinct per-tile weights, so the active-cycle
+/// metric differs from the allocation count.
+sched::NetworkSchedule weighted_schedule() {
+  sched::NetworkSchedule ns = tiny_schedule(arch::rota_like());
+  for (std::size_t l = 0; l < ns.layers.size(); ++l) {
+    const auto k = static_cast<std::int64_t>(l);
+    ns.layers[l].compute_macs_per_pe = 2 + k;
+    ns.layers[l].reduction_steps = 1 + k;
+    ns.layers[l].allocations_per_tile = 1 + 2 * k;
+  }
+  return ns;
+}
+
+/// Iterations between the first repeated iteration-boundary state and its
+/// earlier occurrence — the period the simulator detects.
+std::int64_t boundary_period(const sched::NetworkSchedule& ns,
+                             const Policy& policy) {
+  WearSimulator sim(ns.config, SimulatorOptions{false});
+  const auto probe = policy.clone();
+  std::map<std::vector<std::uint64_t>, std::int64_t> seen;
+  seen.emplace(probe->pack_state(), 0);
+  for (std::int64_t it = 1;; ++it) {
+    sim.run_iteration(ns, *probe);
+    const auto [at, fresh] = seen.emplace(probe->pack_state(), it);
+    if (!fresh) return it - at->second;
+  }
+}
+
+/// Counter deltas of the global registry across a scope.
+class CounterProbe {
+ public:
+  CounterProbe() : was_enabled_(reg().enabled()) { reg().set_enabled(true); }
+  ~CounterProbe() { reg().set_enabled(was_enabled_); }
+  CounterProbe(const CounterProbe&) = delete;
+  CounterProbe& operator=(const CounterProbe&) = delete;
+  [[nodiscard]] std::int64_t skipped() const {
+    return reg().counter("wear.iterations_fast_forwarded") - base_;
+  }
+
+ private:
+  static obs::MetricsRegistry& reg() { return obs::MetricsRegistry::global(); }
+  bool was_enabled_;
+  std::int64_t base_ = reg().counter("wear.iterations_fast_forwarded");
+};
+
+using DeadSet = std::vector<std::pair<std::int64_t, std::int64_t>>;
+
+std::unique_ptr<Policy> masked(PolicyKind kind, const DeadSet& dead) {
+  return std::make_unique<MaskedPolicy>(make_policy(kind, 14, 12),
+                                        sched::ArrayState(14, 12, dead));
+}
+
+TEST(Simulator, IterationJumpMatchesLiteralSteppingExactly) {
+  const sched::NetworkSchedule ns = weighted_schedule();
+  const std::vector<DeadSet> dead_sets = {
+      {}, {{3, 3}}, {{3, 3}, {10, 7}}, {{3, 3}, {10, 7}, {6, 1}}};
+  const auto ignore = [](std::int64_t, const UsageTracker&) {};
+  for (PolicyKind kind : {PolicyKind::kBaseline, PolicyKind::kRwl,
+                          PolicyKind::kRwlRo, PolicyKind::kDiagonalStride}) {
+    for (std::size_t d = 0; d < dead_sets.size(); ++d) {
+      const std::string name = to_string(kind) + " dead=" + std::to_string(d);
+      const auto prototype = d == 0 ? make_policy(kind, 14, 12)
+                                    : masked(kind, dead_sets[d]);
+      ASSERT_TRUE(prototype->pack_state_is_complete()) << name;
+      const std::int64_t period = boundary_period(ns, *prototype);
+      for (WearMetric metric :
+           {WearMetric::kAllocations, WearMetric::kActiveCycles}) {
+        for (std::int64_t iterations :
+             {std::int64_t{1}, period - 1, period, period + 1,
+              2 * period + 3, std::int64_t{1000}}) {
+          const std::string what = name + " P=" + std::to_string(period) +
+                                   " iterations=" + std::to_string(iterations);
+          WearSimulator jumped(arch::rota_like(),
+                               SimulatorOptions{true, metric});
+          auto pj = prototype->clone();
+          const CounterProbe probe;
+          jumped.run_iterations(ns, *pj, iterations);
+          if (iterations == 1000) {
+            EXPECT_GT(probe.skipped(), 0) << what;
+          }
+
+          // Literal iteration stepping over the same per-layer paths (a
+          // sampler forces it): the jump must be invisible.
+          WearSimulator stepped(arch::rota_like(),
+                                SimulatorOptions{true, metric});
+          auto ps = prototype->clone();
+          stepped.run_iterations(ns, *ps, iterations, ignore);
+          EXPECT_EQ(jumped.tracker().usage().cells(),
+                    stepped.tracker().usage().cells())
+              << what;
+          EXPECT_EQ(jumped.tracker().total_pe_allocations(),
+                    stepped.tracker().total_pe_allocations())
+              << what;
+          EXPECT_EQ(pj->pack_state(), ps->pack_state()) << what;
+
+          // The per-tile reference. MaskedPolicy's bulk path on a degraded
+          // mask leaves the inner rotation state at the cycle start after
+          // a whole number of passes over the feasible origins, where the
+          // per-tile path leaves it one step past the last feasible one,
+          // so a masked stride policy can drift from its per-tile
+          // reference independently of the iteration jump.
+          if (d > 0 && kind != PolicyKind::kBaseline) continue;
+          WearSimulator literal(arch::rota_like(),
+                                SimulatorOptions{false, metric});
+          auto pl = prototype->clone();
+          literal.run_iterations(ns, *pl, iterations);
+          EXPECT_EQ(jumped.tracker().usage().cells(),
+                    literal.tracker().usage().cells())
+              << what;
+          EXPECT_EQ(pj->pack_state(), pl->pack_state()) << what;
+        }
+      }
+    }
+  }
+}
+
+TEST(Simulator, TracingPolicySeesEveryTileOfEveryIteration) {
+  const sched::NetworkSchedule ns = tiny_schedule(arch::rota_like());
+  TracingPolicy traced(make_policy(PolicyKind::kRwlRo, 14, 12));
+  WearSimulator sim(arch::rota_like());
+  const CounterProbe probe;
+  sim.run_iterations(ns, traced, 200);
+  EXPECT_EQ(probe.skipped(), 0);
+  EXPECT_EQ(static_cast<std::int64_t>(traced.records().size()),
+            200 * ns.total_tiles());
+}
+
+TEST(Simulator, RandomStartNeverJumps) {
+  const sched::NetworkSchedule ns = tiny_schedule(arch::rota_like());
+  auto policy = make_policy(PolicyKind::kRandomStart, 14, 12, 5);
+  EXPECT_FALSE(policy->pack_state_is_complete());
+  EXPECT_FALSE(masked(PolicyKind::kRandomStart, {{2, 2}})
+                   ->pack_state_is_complete());
+  WearSimulator sim(arch::rota_like());
+  const CounterProbe probe;
+  sim.run_iterations(ns, *policy, 300);
+  EXPECT_EQ(probe.skipped(), 0);
+}
+
+TEST(Simulator, SampledRunsStepLiterally) {
+  const sched::NetworkSchedule ns = tiny_schedule(arch::rota_like());
+  auto sampled = make_policy(PolicyKind::kRwlRo, 14, 12);
+  auto plain = make_policy(PolicyKind::kRwlRo, 14, 12);
+  WearSimulator sampled_sim(arch::rota_like());
+  WearSimulator plain_sim(arch::rota_like());
+  std::int64_t calls = 0;
+  const CounterProbe probe;
+  sampled_sim.run_iterations(ns, *sampled, 1000,
+                             [&](std::int64_t it, const UsageTracker&) {
+                               EXPECT_EQ(it, ++calls);
+                             });
+  EXPECT_EQ(calls, 1000);
+  EXPECT_EQ(probe.skipped(), 0);
+  plain_sim.run_iterations(ns, *plain, 1000);  // period 168: jumps
+  EXPECT_GT(probe.skipped(), 0);
+  EXPECT_EQ(sampled_sim.tracker().usage().cells(),
+            plain_sim.tracker().usage().cells());
 }
 
 }  // namespace
