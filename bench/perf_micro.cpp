@@ -17,6 +17,8 @@
 
 #include "bench_common.hpp"
 #include "core/rota.hpp"
+#include "fi/degrade.hpp"
+#include "fi/plan.hpp"
 #include "kern/kern.hpp"
 #include "obs/event_log.hpp"
 #include "util/rng.hpp"
@@ -216,6 +218,61 @@ void BM_LifetimeImprovement(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LifetimeImprovement);
+
+/// Usage of `net` after 1000 iterations under `kind` on the 14×12 array.
+util::Grid<std::int64_t> zoo_usage(const sched::NetworkSchedule& ns,
+                                   wear::PolicyKind kind) {
+  wear::WearSimulator sim(arch::rota_like());
+  auto policy = wear::make_policy(kind, 14, 12);
+  sim.run_iterations(ns, *policy, 1000);
+  return sim.tracker().usage();
+}
+
+/// The 2-spare closed form on a zoo vector, as `rota lifetime Res
+/// --spares 2` evaluates it: ResNet-50 under RWL+RO, scaled by the
+/// Baseline peak. Its repeated activity levels are what the per-level
+/// Weibull CDFs exploit (DESIGN.md §14.6).
+void BM_SpareArrayMttf(benchmark::State& state) {
+  sched::Mapper mapper(arch::rota_like(), sched::ObjectiveSpec{});
+  const auto ns = mapper.schedule_network(nn::workload_by_abbr("Res"));
+  const auto baseline = zoo_usage(ns, wear::PolicyKind::kBaseline);
+  const auto leveled = zoo_usage(ns, wear::PolicyKind::kRwlRo);
+  double peak = 1.0;
+  for (std::int64_t v : baseline.cells())
+    peak = std::max(peak, static_cast<double>(v));
+  std::vector<double> alphas;
+  for (std::int64_t v : leveled.cells())
+    alphas.push_back(static_cast<double>(v) / peak);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(rel::spare_array_mttf(alphas, 2));
+  }
+}
+BENCHMARK(BM_SpareArrayMttf)->Unit(benchmark::kMillisecond);
+
+/// The `rota degrade --mc` cross-check on a degraded live set: the 164
+/// surviving PEs of the EXPERIMENTS.md AlexNet plan at 16384 iterations,
+/// tolerance 29 (2 spares plus the retirement budget), 20000 trials —
+/// the pivot-filtered order statistic's target (DESIGN.md §14.6).
+void BM_MonteCarloSpareMttf(benchmark::State& state) {
+  fi::DegradeOptions o;
+  o.iterations = 16384;
+  o.spares = 2;
+  o.seed = 7;
+  o.retire_live_fraction = 0.8;
+  o.workload_tag = "AN";
+  for (const char* spec : {"pe=5,5@64", "rank=0@192", "weibull=4"})
+    o.faults.push_back(fi::parse_hardware_fault(spec).take());
+  const fi::DegradeReport report = fi::run_degraded_lifetime(
+      arch::rota_like(), nn::workload_by_abbr("AN"), o);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(rel::monte_carlo_spare_mttf(
+        report.live_alphas, report.mttf_tolerance, rel::kJedecShape, 1.0,
+        20000, 7, 1));
+  }
+  state.SetLabel(std::to_string(report.live_alphas.size()) + " PEs, " +
+                 "tolerance " + std::to_string(report.mttf_tolerance));
+}
+BENCHMARK(BM_MonteCarloSpareMttf)->Unit(benchmark::kMillisecond);
 
 void BM_ExperimentSqueezeNet100(benchmark::State& state) {
   const auto net = nn::make_squeezenet();

@@ -1,7 +1,14 @@
 #include "obs/manifest.hpp"
 
+#include <array>
+#include <cstring>
 #include <ctime>
 #include <sstream>
+#include <thread>
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <cpuid.h>
+#endif
 
 #include "kern/kern.hpp"
 #include "obs/build_info.hpp"
@@ -22,6 +29,27 @@ std::string utc_now_iso8601() {
   char buf[32];
   std::strftime(buf, sizeof buf, "%Y-%m-%dT%H:%M:%SZ", &tm_utc);
   return buf;
+}
+
+/// CPU brand string from CPUID (no file reads), "unknown" elsewhere.
+std::string host_cpu_model() {
+#if defined(__x86_64__) || defined(__i386__)
+  const unsigned int max_leaf = __get_cpuid_max(0x80000000U, nullptr);
+  if (max_leaf >= 0x80000004U) {
+    std::array<unsigned int, 12> regs{};
+    for (unsigned int i = 0; i < 3; ++i) {
+      __get_cpuid(0x80000002U + i, &regs[4 * i], &regs[4 * i + 1],
+                  &regs[4 * i + 2], &regs[4 * i + 3]);
+    }
+    char brand[49] = {};
+    std::memcpy(brand, regs.data(), 48);
+    std::string model(brand);
+    model.erase(0, model.find_first_not_of(' '));
+    while (!model.empty() && model.back() == ' ') model.pop_back();
+    if (!model.empty()) return model;
+  }
+#endif
+  return "unknown";
 }
 
 }  // namespace
@@ -64,6 +92,10 @@ RunManifest make_run_manifest(std::string tool, std::string command) {
   // numbers are only comparable between manifests that agree here.
   m.extra["kern.simd_compiled"] = std::string(kern::compiled_simd());
   m.extra["kern.simd_active"] = std::string(kern::isa_name(kern::active_isa()));
+  // The host behind the wall times: serial timings only compare across
+  // one CPU model, and Par/N scaling only up to the core count.
+  m.extra["host.cores"] = std::to_string(std::thread::hardware_concurrency());
+  m.extra["host.cpu_model"] = host_cpu_model();
   // Mapper objective provenance (DESIGN.md §15). "energy" is the
   // historical default; producers running another objective overwrite
   // this, and perf numbers are only comparable between manifests that

@@ -22,11 +22,14 @@ namespace {
 void validate_inputs(const std::vector<double>& alphas, double beta,
                      double eta, std::int64_t trials) {
   ROTA_REQUIRE(!alphas.empty(), "activity vector must be non-empty");
-  ROTA_REQUIRE(beta > 0.0 && eta > 0.0, "beta and eta must be positive");
+  ROTA_REQUIRE(std::isfinite(beta) && std::isfinite(eta) && beta > 0.0 &&
+                   eta > 0.0,
+               "beta and eta must be positive and finite");
   ROTA_REQUIRE(trials >= 1, "need at least one trial");
   bool any_positive = false;
   for (double a : alphas) {
-    ROTA_REQUIRE(a >= 0.0, "activity must be non-negative");
+    ROTA_REQUIRE(std::isfinite(a) && a >= 0.0,
+                 "activity must be finite and non-negative");
     any_positive = any_positive || a > 0.0;
   }
   ROTA_REQUIRE(any_positive, "at least one PE must have positive activity");
@@ -108,22 +111,75 @@ double sample_failure(const FailureSampler& s, std::vector<double>& u,
   return kern::pow1(kern::weibull_min(u.data(), s.c_pow.data(), k), s.p);
 }
 
+/// Per-chunk state of the with-spares sampler: scratch buffers reused by
+/// every trial, and the pivot carried from one trial to the next. The
+/// pivot starts at 0 in every chunk, so a chunk's samples never depend on
+/// which thread ran the chunk before it.
+struct SpareScratch {
+  explicit SpareScratch(std::size_t k) : u(k) { below.reserve(k); }
+  std::vector<double> u;      ///< the trial's uniforms (fallback: t_i^β)
+  std::vector<double> below;  ///< computed t_i^β below the pivot
+  double pivot = 0.0;
+  std::int64_t full_scans = 0;  ///< trials that computed every t_i^β
+};
+
+// Cost only, never the result: a higher pivot falls back to the full
+// path less often but lets more PEs through to log1p. At 1.5 about 6% of
+// the degrade-long trials (tolerance 29) fall back, 40% at spares 0.
+constexpr double kPivotFactor = 1.5;
+// −log1p(−u) ≥ u + u²/2, so c·u·(1 + u/2) bounds c·(−log1p(−u)) from
+// below; the margin absorbs the few-ulp rounding of log1p and of the
+// products on either side (DESIGN.md §14.6).
+constexpr double kBoundMargin = 1.0 - 0x1p-40;
+// Pivots outside [DBL_MIN, DBL_MAX/2] take the full path: subnormal
+// products lose the relative-error bound, and an overflowed bound must
+// still imply t_i^β ≥ P.
+constexpr double kMinPivot = std::numeric_limits<double>::min();
+constexpr double kMaxPivot = std::numeric_limits<double>::max() / 2.0;
+
 /// One with-spares trial: per-PE failure times in the β-power domain
 /// (t_i^β = (η/α_i)^β·(−ln(1−U_i)); the power is monotone, so order
 /// statistics commute with it), then the (spares+1)-th smallest is the
-/// device failure. `t_pow` is caller-owned scratch of size c_pow.size().
-double sample_spare_failure(const FailureSampler& s,
-                            std::vector<double>& t_pow, std::int64_t spares,
-                            util::SplitMix64& rng) {
+/// device failure. All uniforms are drawn first, so the RNG stream does
+/// not depend on the path taken. With a pivot P, a PE whose lower bound
+/// reaches P cannot rank below P and skips its log1p; the order statistic
+/// is selected among the computed values below P. When fewer than
+/// spares+1 fall below P, every value is computed. Both paths select the
+/// same value (DESIGN.md §14.6).
+double sample_spare_failure(const FailureSampler& s, SpareScratch& scratch,
+                            std::int64_t spares, util::SplitMix64& rng) {
   const std::size_t k = s.c_pow.size();
-  for (std::size_t i = 0; i < k; ++i) {
-    t_pow[i] = s.c_pow[i] * -std::log1p(-rng.next_double());
-  }
-  const auto nth = t_pow.begin() + static_cast<std::ptrdiff_t>(spares);
+  std::vector<double>& u = scratch.u;
+  for (std::size_t i = 0; i < k; ++i) u[i] = rng.next_double();
+  const auto rank = static_cast<std::size_t>(spares);
+  const double pivot = scratch.pivot;
   // nth_element's *value* at the nth slot is the sorted nth value — unique
   // even under ties — so the sample is implementation-independent.
-  std::nth_element(t_pow.begin(), nth, t_pow.end());
-  return kern::pow1(*nth, s.p);
+  double nth = 0.0;
+  std::vector<double>& below = scratch.below;
+  below.clear();
+  if (pivot >= kMinPivot && pivot <= kMaxPivot) {
+    for (std::size_t i = 0; i < k; ++i) {
+      const double ui = u[i];
+      if (s.c_pow[i] * ui * (1.0 + 0.5 * ui) * kBoundMargin >= pivot) continue;
+      const double t_pow = s.c_pow[i] * -std::log1p(-ui);
+      if (t_pow < pivot) below.push_back(t_pow);
+    }
+  }
+  if (below.size() > rank) {
+    const auto it = below.begin() + static_cast<std::ptrdiff_t>(rank);
+    std::nth_element(below.begin(), it, below.end());
+    nth = *it;
+  } else {
+    ++scratch.full_scans;
+    for (std::size_t i = 0; i < k; ++i)
+      u[i] = s.c_pow[i] * -std::log1p(-u[i]);
+    const auto it = u.begin() + static_cast<std::ptrdiff_t>(rank);
+    std::nth_element(u.begin(), it, u.end());
+    nth = *it;
+  }
+  scratch.pivot = kPivotFactor * nth;
+  return kern::pow1(nth, s.p);
 }
 
 }  // namespace
@@ -143,6 +199,7 @@ MonteCarloResult monte_carlo_spare_mttf(const std::vector<double>& alphas,
   struct Moments {
     double sum = 0.0;
     double sum_sq = 0.0;
+    std::int64_t full_scans = 0;
   };
   const std::int64_t chunks = util::ceil_div(trials, kMonteCarloChunkTrials);
   const Moments total = par::parallel_reduce<Moments>(
@@ -150,22 +207,25 @@ MonteCarloResult monte_carlo_spare_mttf(const std::vector<double>& alphas,
       [&](std::int64_t c) {
         const ChunkBounds b = chunk_bounds(c, kMonteCarloChunkTrials, trials);
         util::SplitMix64 rng = chunk_rng(seed, c);
-        std::vector<double> t_pow(sampler.c_pow.size());
+        SpareScratch scratch(sampler.c_pow.size());
         Moments m;
         for (std::int64_t t = b.begin; t < b.end; ++t) {
           const double sample =
-              sample_spare_failure(sampler, t_pow, spares, rng);
+              sample_spare_failure(sampler, scratch, spares, rng);
           m.sum += sample;
           m.sum_sq += sample * sample;
         }
+        m.full_scans = scratch.full_scans;
         return m;
       },
       [](Moments acc, Moments m) {
         acc.sum += m.sum;
         acc.sum_sq += m.sum_sq;
+        acc.full_scans += m.full_scans;
         return acc;
       });
   report_batch("mc.spare_mttf", trials, t0);
+  obs::MetricsRegistry::global().add("mc.spare_full_scans", total.full_scans);
 
   MonteCarloResult res;
   res.trials = trials;

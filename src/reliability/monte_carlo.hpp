@@ -36,7 +36,8 @@ struct MonteCarloResult {
 };
 
 /// Estimate the array MTTF by sampling. PEs with α = 0 never fail.
-/// \pre alphas non-empty with at least one positive entry; trials >= 1.
+/// \pre alphas non-empty, finite and non-negative, with at least one
+/// positive entry; beta and eta finite and positive; trials >= 1.
 [[nodiscard]] MonteCarloResult monte_carlo_mttf(const std::vector<double>& alphas,
                                   double beta = kJedecShape, double eta = 1.0,
                                   std::int64_t trials = 10000,
@@ -51,7 +52,10 @@ struct MonteCarloResult {
 /// per-PE Weibull failure times. Rides the same chunked-substream
 /// determinism contract as monte_carlo_mttf (bit-identical at any thread
 /// count); the test suite cross-checks it against spare_array_mttf within
-/// sampling error. \pre spares >= 0 and fewer than the active PE count.
+/// sampling error. Each trial skips the log of every PE whose lower bound
+/// rules it out of the order statistic (DESIGN.md §14.6); the counter
+/// `mc.spare_full_scans` counts the trials that computed every PE.
+/// \pre spares >= 0 and fewer than the active PE count.
 [[nodiscard]] MonteCarloResult monte_carlo_spare_mttf(
     const std::vector<double>& alphas, std::int64_t spares,
     double beta = kJedecShape, double eta = 1.0, std::int64_t trials = 10000,

@@ -13,10 +13,74 @@ void validate_inputs(const std::vector<double>& alphas, std::int64_t spares,
                      double beta, double eta) {
   ROTA_REQUIRE(!alphas.empty(), "activity vector must be non-empty");
   ROTA_REQUIRE(spares >= 0, "spare count must be non-negative");
-  ROTA_REQUIRE(beta > 0.0 && eta > 0.0, "beta and eta must be positive");
+  ROTA_REQUIRE(std::isfinite(beta) && std::isfinite(eta) && beta > 0.0 &&
+                   eta > 0.0,
+               "beta and eta must be positive and finite");
   for (double a : alphas)
-    ROTA_REQUIRE(a >= 0.0, "activity must be non-negative");
+    ROTA_REQUIRE(std::isfinite(a) && a >= 0.0,
+                 "activity must be finite and non-negative");
 }
+
+/// R_s(t) for one activity vector at many t. The per-PE failure
+/// probability depends on a PE only through its activity, and usage grids
+/// repeat values, so the positive activities are grouped once into sorted
+/// distinct levels and each evaluation computes one Weibull CDF per level.
+/// The Poisson-binomial DP still visits the PEs in input order, reading
+/// each PE's level, so every operation — and therefore every bit — matches
+/// a per-PE evaluation (DESIGN.md §14.6).
+class SpareReliability {
+ public:
+  SpareReliability(const std::vector<double>& alphas, std::int64_t spares,
+                   double beta, double eta)
+      : beta_(beta), eta_(eta), dp_(static_cast<std::size_t>(spares) + 1) {
+    levels_.reserve(alphas.size());
+    for (double a : alphas)
+      if (a > 0.0) levels_.push_back(a);  // inactive PEs cannot fail
+    std::vector<double> by_pe = levels_;
+    std::sort(levels_.begin(), levels_.end());
+    levels_.erase(std::unique(levels_.begin(), levels_.end()), levels_.end());
+    level_of_.reserve(by_pe.size());
+    for (double a : by_pe) {
+      const auto it = std::lower_bound(levels_.begin(), levels_.end(), a);
+      level_of_.push_back(static_cast<std::size_t>(it - levels_.begin()));
+    }
+    p_fail_.resize(levels_.size());
+  }
+
+  [[nodiscard]] double max_activity() const {
+    return levels_.empty() ? 0.0 : levels_.back();
+  }
+
+  [[nodiscard]] double at(double t) {
+    for (std::size_t l = 0; l < levels_.size(); ++l)
+      p_fail_[l] = 1.0 - std::exp(-std::pow(t * levels_[l] / eta_, beta_));
+    // Poisson-binomial recurrence truncated at `spares` failures: dp[k] is
+    // the probability of exactly k failures among the PEs processed so far.
+    std::fill(dp_.begin(), dp_.end(), 0.0);
+    dp_[0] = 1.0;
+    const std::size_t cap = dp_.size();
+    double* dp = dp_.data();
+    for (std::size_t level : level_of_) {
+      const double p_fail = p_fail_[level];
+      for (std::size_t k = cap; k-- > 0;) {
+        const double survive = dp[k] * (1.0 - p_fail);
+        const double fail_in = (k > 0) ? dp[k - 1] * p_fail : 0.0;
+        dp[k] = survive + fail_in;
+      }
+    }
+    double r = 0.0;
+    for (double p : dp_) r += p;
+    return std::min(1.0, r);
+  }
+
+ private:
+  double beta_;
+  double eta_;
+  std::vector<double> levels_;         ///< distinct positive α, ascending
+  std::vector<std::size_t> level_of_;  ///< per active PE, input order
+  std::vector<double> p_fail_;         ///< scratch: F(t) per level
+  std::vector<double> dp_;             ///< scratch: spares + 1 entries
+};
 
 }  // namespace
 
@@ -24,37 +88,20 @@ double spare_array_reliability(const std::vector<double>& alphas, double t,
                                std::int64_t spares, double beta, double eta) {
   validate_inputs(alphas, spares, beta, eta);
   ROTA_REQUIRE(t >= 0.0, "time must be non-negative");
-
-  // Poisson-binomial recurrence truncated at `spares` failures: dp[k] is
-  // the probability of exactly k failures among the PEs processed so far.
-  const auto cap = static_cast<std::size_t>(spares) + 1;
-  std::vector<double> dp(cap, 0.0);
-  dp[0] = 1.0;
-  for (double a : alphas) {
-    if (a <= 0.0) continue;  // inactive PEs cannot fail
-    const double p_fail = 1.0 - std::exp(-std::pow(t * a / eta, beta));
-    for (std::size_t k = cap; k-- > 0;) {
-      const double survive = dp[k] * (1.0 - p_fail);
-      const double fail_in = (k > 0) ? dp[k - 1] * p_fail : 0.0;
-      dp[k] = survive + fail_in;
-    }
-  }
-  double r = 0.0;
-  for (double p : dp) r += p;
-  return std::min(1.0, r);
+  return SpareReliability(alphas, spares, beta, eta).at(t);
 }
 
 double spare_array_mttf(const std::vector<double>& alphas,
                         std::int64_t spares, double beta, double eta) {
   validate_inputs(alphas, spares, beta, eta);
-  double a_max = 0.0;
-  for (double a : alphas) a_max = std::max(a_max, a);
+  SpareReliability reliability(alphas, spares, beta, eta);
+  const double a_max = reliability.max_activity();
   ROTA_REQUIRE(a_max > 0.0, "at least one PE must have positive activity");
 
   // Find a horizon where the array is (numerically) certainly dead, then
   // integrate R_s(t) with the trapezoid rule.
   double horizon = eta / a_max;
-  while (spare_array_reliability(alphas, horizon, spares, beta, eta) > 1e-9) {
+  while (reliability.at(horizon) > 1e-9) {
     horizon *= 2.0;
     ROTA_ENSURE(horizon < 1e9 * eta / a_max,
                 "spare-array reliability does not decay");
@@ -65,7 +112,7 @@ double spare_array_mttf(const std::vector<double>& alphas,
   double prev = 1.0;  // R(0)
   for (int i = 1; i <= kSteps; ++i) {
     const double t = dt * i;
-    const double cur = spare_array_reliability(alphas, t, spares, beta, eta);
+    const double cur = reliability.at(t);
     integral += 0.5 * (prev + cur) * dt;
     prev = cur;
   }

@@ -16,21 +16,25 @@
 ///
 /// evaluated exactly with the Poisson-binomial recurrence over the per-PE
 /// failure probabilities F_ij(t) = 1 − exp(−(t·α_ij/η)^β), and the MTTF
-/// via numeric integration of R_s(t). The abl_spares bench uses it to show
-/// how wear-leveling and sparing compose.
+/// via numeric integration of R_s(t). F depends on a PE only through α,
+/// so each evaluation computes it once per distinct activity level and
+/// runs the recurrence over the PEs in input order — bit-identical to a
+/// per-PE evaluation (DESIGN.md §14.6). The abl_spares bench uses it to
+/// show how wear-leveling and sparing compose.
 
 namespace rota::rel {
 
 /// Reliability at time t of an array that tolerates up to `spares` failed
 /// PEs. spares = 0 degenerates to array_reliability().
-/// \pre alphas non-empty, all non-negative; spares >= 0.
+/// \pre alphas non-empty, all finite and non-negative; spares >= 0;
+/// beta and eta finite and positive.
 [[nodiscard]] double spare_array_reliability(const std::vector<double>& alphas, double t,
                                std::int64_t spares,
                                double beta = kJedecShape, double eta = 1.0);
 
 /// MTTF of the spare-tolerant array: ∫ R_s(t) dt, integrated numerically
 /// (adaptive horizon, trapezoid rule; relative accuracy ~1e-4).
-/// \pre at least one α > 0.
+/// \pre as spare_array_reliability, and at least one α > 0.
 [[nodiscard]] double spare_array_mttf(const std::vector<double>& alphas,
                         std::int64_t spares, double beta = kJedecShape,
                         double eta = 1.0);

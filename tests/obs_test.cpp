@@ -292,6 +292,15 @@ TEST(Manifest, ToJsonCarriesEveryField) {
   EXPECT_EQ(m.timestamp_utc.back(), 'Z');
 }
 
+TEST(Manifest, RecordsTheHost) {
+  const RunManifest m = make_run_manifest("test", "cmd");
+  ASSERT_TRUE(m.extra.count("host.cores"));
+  ASSERT_TRUE(m.extra.count("host.cpu_model"));
+  EXPECT_EQ(m.extra.at("host.cores"),
+            std::to_string(std::thread::hardware_concurrency()));
+  EXPECT_FALSE(m.extra.at("host.cpu_model").empty());
+}
+
 TEST(Manifest, MetricsReportJsonHasManifestAndMetrics) {
   MetricsRegistry reg;
   reg.set_enabled(true);

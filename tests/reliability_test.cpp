@@ -1,9 +1,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <optional>
+#include <string>
 #include <vector>
 
+#include "arch/config.hpp"
+#include "fi/degrade.hpp"
+#include "fi/plan.hpp"
+#include "kern/kern.hpp"
+#include "nn/workloads.hpp"
+#include "obs/metrics.hpp"
 #include "reliability/array_reliability.hpp"
 #include "reliability/monte_carlo.hpp"
 #include "reliability/spares.hpp"
@@ -374,6 +385,253 @@ TEST(Spares, RejectsInvalidArguments) {
   EXPECT_THROW((void)spare_array_reliability({1.0}, 1.0, -1), precondition_error);
   EXPECT_THROW((void)spare_array_reliability({}, 1.0, 0), precondition_error);
   EXPECT_THROW((void)spare_array_mttf({0.0}, 1), precondition_error);
+  // Non-finite inputs are caller errors, not a reliability that fails to
+  // decay (an internal invariant) or a silently returned number.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW((void)spare_array_mttf({inf, 1.0}, 1), precondition_error);
+  EXPECT_THROW((void)spare_array_mttf({nan, 1.0}, 1), precondition_error);
+  EXPECT_THROW((void)spare_array_mttf({1.0, 1.0}, 1, kJedecShape, inf),
+               precondition_error);
+  EXPECT_THROW((void)spare_array_mttf({1.0, 1.0}, 1, inf), precondition_error);
+  EXPECT_THROW((void)spare_array_reliability({1.0}, 1.0, 0, nan),
+               precondition_error);
+  EXPECT_THROW((void)monte_carlo_spare_mttf({inf, 1.0, 1.0}, 1),
+               precondition_error);
+  EXPECT_THROW(
+      (void)monte_carlo_spare_mttf({1.0, 1.0, 1.0}, 1, kJedecShape, inf),
+      precondition_error);
+  EXPECT_THROW((void)monte_carlo_spare_mttf({1.0, 1.0, 1.0}, 1, nan),
+               precondition_error);
+  EXPECT_THROW((void)monte_carlo_mttf({1.0, inf}), precondition_error);
+}
+
+// ------------------------------- bit identity with the per-PE algorithms ----
+
+/// The per-PE algorithms the reliability layer used before level grouping
+/// and the pivot filter, kept verbatim as references: the optimized forms
+/// must reproduce them bit for bit (DESIGN.md §14.6).
+namespace per_pe {
+
+double spare_array_reliability(const std::vector<double>& alphas, double t,
+                               std::int64_t spares, double beta, double eta) {
+  const auto cap = static_cast<std::size_t>(spares) + 1;
+  std::vector<double> dp(cap, 0.0);
+  dp[0] = 1.0;
+  for (double a : alphas) {
+    if (a <= 0.0) continue;
+    const double p_fail = 1.0 - std::exp(-std::pow(t * a / eta, beta));
+    for (std::size_t k = cap; k-- > 0;) {
+      const double survive = dp[k] * (1.0 - p_fail);
+      const double fail_in = (k > 0) ? dp[k - 1] * p_fail : 0.0;
+      dp[k] = survive + fail_in;
+    }
+  }
+  double r = 0.0;
+  for (double p : dp) r += p;
+  return std::min(1.0, r);
+}
+
+double spare_array_mttf(const std::vector<double>& alphas,
+                        std::int64_t spares, double beta, double eta) {
+  double a_max = 0.0;
+  for (double a : alphas) a_max = std::max(a_max, a);
+  double horizon = eta / a_max;
+  while (spare_array_reliability(alphas, horizon, spares, beta, eta) > 1e-9) {
+    horizon *= 2.0;
+    if (!(horizon < 1e9 * eta / a_max))
+      throw util::invariant_error("spare-array reliability does not decay");
+  }
+  constexpr int kSteps = 2048;
+  const double dt = horizon / kSteps;
+  double integral = 0.0;
+  double prev = 1.0;
+  for (int i = 1; i <= kSteps; ++i) {
+    const double t = dt * i;
+    const double cur = spare_array_reliability(alphas, t, spares, beta, eta);
+    integral += 0.5 * (prev + cur) * dt;
+    prev = cur;
+  }
+  return integral;
+}
+
+/// Serial monte_carlo_spare_mttf: every PE's log1p, then nth_element, with
+/// the chunked substreams folded in ascending chunk order.
+MonteCarloResult monte_carlo_spare_mttf(const std::vector<double>& alphas,
+                                        std::int64_t spares, double beta,
+                                        double eta, std::int64_t trials,
+                                        std::uint64_t seed) {
+  std::vector<double> c_pow;
+  for (double a : alphas) {
+    if (a <= 0.0) continue;
+    c_pow.push_back(std::min(kern::pow1(eta / a, beta),
+                             std::numeric_limits<double>::max()));
+  }
+  const double p = 1.0 / beta;
+  std::vector<double> t_pow(c_pow.size());
+  double sum = 0.0;
+  double sum_sq = 0.0;
+  for (std::int64_t begin = 0; begin < trials;
+       begin += kMonteCarloChunkTrials) {
+    const std::int64_t chunk = begin / kMonteCarloChunkTrials;
+    util::SplitMix64 rng(seed ^ static_cast<std::uint64_t>(chunk));
+    double chunk_sum = 0.0;
+    double chunk_sum_sq = 0.0;
+    const std::int64_t end = std::min(trials, begin + kMonteCarloChunkTrials);
+    for (std::int64_t t = begin; t < end; ++t) {
+      for (std::size_t i = 0; i < c_pow.size(); ++i)
+        t_pow[i] = c_pow[i] * -std::log1p(-rng.next_double());
+      const auto nth = t_pow.begin() + static_cast<std::ptrdiff_t>(spares);
+      std::nth_element(t_pow.begin(), nth, t_pow.end());
+      const double sample = kern::pow1(*nth, p);
+      chunk_sum += sample;
+      chunk_sum_sq += sample * sample;
+    }
+    sum += chunk_sum;
+    sum_sq += chunk_sum_sq;
+  }
+  MonteCarloResult res;
+  res.trials = trials;
+  const double n = static_cast<double>(trials);
+  res.mttf = sum / n;
+  const double var = std::max(0.0, sum_sq / n - res.mttf * res.mttf);
+  res.stderr_ = std::sqrt(var / n);
+  return res;
+}
+
+}  // namespace per_pe
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// The closed form's value, or nullopt where its horizon search gives up
+/// (spares that outlast a 1e9 spread of activities).
+template <typename F>
+std::optional<double> mttf_or_no_decay(F&& mttf) {
+  try {
+    return mttf();
+  } catch (const util::invariant_error&) {
+    return std::nullopt;
+  }
+}
+
+struct Profile {
+  std::string name;
+  std::vector<double> alphas;
+};
+
+/// The live set of the degrade-long benchmark's pinned AlexNet plan.
+std::vector<double> alexnet_degraded_live_alphas() {
+  fi::DegradeOptions o;
+  o.iterations = 16384;
+  o.spares = 2;
+  o.seed = 7;
+  o.retire_live_fraction = 0.8;
+  o.workload_tag = "AN";
+  for (const char* spec : {"pe=5,5@64", "rank=0@192", "weibull=4"})
+    o.faults.push_back(fi::parse_hardware_fault(spec).take());
+  return fi::run_degraded_lifetime(arch::rota_like(),
+                                   nn::workload_by_abbr("AN"), o)
+      .live_alphas;
+}
+
+std::vector<Profile> bit_identity_profiles() {
+  constexpr std::size_t kN = 48;
+  std::vector<Profile> out = {{"all-equal", std::vector<double>(kN, 1.0)},
+                              {"3-level", {}},
+                              {"zeros", {}},
+                              {"all-distinct", {}},
+                              {"12-decade", {}},
+                              {"extremes", {}}};
+  for (std::size_t i = 0; i < kN; ++i) {
+    const auto x = static_cast<double>(i);
+    out[1].alphas.push_back(i % 3 == 0 ? 0.5 : i % 3 == 1 ? 0.8 : 1.0);
+    out[2].alphas.push_back(
+        i % 4 == 0 ? 0.0 : 0.3 + 0.1 * static_cast<double>(i % 5));
+    out[3].alphas.push_back(0.5 + 0.01 * x);
+    out[4].alphas.push_back(std::pow(10.0, -12.0 * x / (kN - 1)));
+    // 1e-300 clamps (η/α)^β to DBL_MAX. At β = 3.4, 1e300 underflows it
+    // to 0, so low order statistics are 0 and no pivot is a normal number.
+    const double mid = 0.5 + 0.1 * static_cast<double>(i % 5);
+    out[5].alphas.push_back(i % 12 == 0 ? 1e-300 : i % 12 == 6 ? 1e300 : mid);
+  }
+  out.push_back({"alexnet-degraded", alexnet_degraded_live_alphas()});
+  return out;
+}
+
+std::vector<std::int64_t> spare_counts(std::int64_t cap) {
+  std::vector<std::int64_t> out;
+  for (std::int64_t s : {std::int64_t{0}, std::int64_t{1}, std::int64_t{2},
+                         std::int64_t{29}, cap})
+    out.push_back(std::min(s, cap));
+  return out;
+}
+
+TEST(BitIdentity, SpareMttfMatchesPerPeClosedForm) {
+  for (const Profile& prof : bit_identity_profiles()) {
+    const auto n = static_cast<std::int64_t>(prof.alphas.size());
+    for (const std::int64_t spares : spare_counts(n - 1)) {
+      for (const double beta : {3.4, 1.0, 0.7}) {
+        SCOPED_TRACE(prof.name + " spares=" + std::to_string(spares) +
+                     " beta=" + std::to_string(beta));
+        const std::optional<double> want = mttf_or_no_decay([&] {
+          return per_pe::spare_array_mttf(prof.alphas, spares, beta, 1.0);
+        });
+        const std::optional<double> got = mttf_or_no_decay(
+            [&] { return spare_array_mttf(prof.alphas, spares, beta); });
+        ASSERT_EQ(want.has_value(), got.has_value());
+        if (want) {
+          EXPECT_EQ(bits(*want), bits(*got));
+        }
+        for (const double t : {0.0, 0.3, 1.0, 2.5}) {
+          EXPECT_EQ(bits(per_pe::spare_array_reliability(prof.alphas, t,
+                                                         spares, beta, 1.0)),
+                    bits(spare_array_reliability(prof.alphas, t, spares,
+                                                 beta)));
+        }
+      }
+    }
+  }
+}
+
+TEST(BitIdentity, SpareMonteCarloMatchesFullSort) {
+  auto& reg = obs::MetricsRegistry::global();
+  const bool was_enabled = reg.enabled();
+  reg.set_enabled(true);
+  // Two chunks, the second one partial.
+  constexpr std::int64_t kTrials = kMonteCarloChunkTrials + 404;
+  constexpr std::int64_t kChunks = 2;
+  std::int64_t cases = 0;
+  std::int64_t full_scans = 0;
+  for (const Profile& prof : bit_identity_profiles()) {
+    std::int64_t active = 0;
+    for (double a : prof.alphas) active += a > 0.0 ? 1 : 0;
+    for (const std::int64_t spares : spare_counts(active - 1)) {
+      for (const double beta : {3.4, 1.0, 0.7}) {
+        const MonteCarloResult want = per_pe::monte_carlo_spare_mttf(
+            prof.alphas, spares, beta, 1.0, kTrials, 0x5eed);
+        for (const int threads : {1, 3}) {
+          SCOPED_TRACE(prof.name + " spares=" + std::to_string(spares) +
+                       " beta=" + std::to_string(beta) +
+                       " threads=" + std::to_string(threads));
+          const std::int64_t before = reg.counter("mc.spare_full_scans");
+          const MonteCarloResult got = monte_carlo_spare_mttf(
+              prof.alphas, spares, beta, 1.0, kTrials, 0x5eed, threads);
+          const std::int64_t scans =
+              reg.counter("mc.spare_full_scans") - before;
+          EXPECT_EQ(bits(want.mttf), bits(got.mttf));
+          EXPECT_EQ(bits(want.stderr_), bits(got.stderr_));
+          // The first trial of every chunk has no pivot yet.
+          EXPECT_GE(scans, kChunks);
+          ++cases;
+          full_scans += scans;
+        }
+      }
+    }
+  }
+  reg.set_enabled(was_enabled);
+  // The pivot path carried most trials; the comparison above is not all
+  // fallback.
+  EXPECT_LT(full_scans, cases * kTrials / 2);
 }
 
 // -------------------------------------------------------- spare remapper ----
