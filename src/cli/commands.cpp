@@ -403,8 +403,9 @@ void discard_checkpoint(const std::string& path) {
 
 int cmd_degrade(const Options& opt, std::ostream& out) {
   ROTA_REQUIRE(!opt.faults.empty(),
-               "degrade needs at least one --fault SPEC (pe=U,V@ITER[+K], "
-               "rank=R@ITER or weibull=N)");
+               verb_name(opt.verb) +
+                   " needs at least one --fault SPEC (pe=U,V@ITER[+K], "
+                   "rank=R@ITER or weibull=N)");
   const nn::Network net = nn::workload_by_abbr(opt.workload);
   const arch::AcceleratorConfig accel = accel_of(opt);
 
@@ -520,61 +521,11 @@ int cmd_degrade(const Options& opt, std::ostream& out) {
 }
 
 int cmd_inject(const Options& opt, std::ostream& out) {
-  ROTA_REQUIRE(!opt.faults.empty(),
-               "inject needs at least one --fault SPEC (pe=U,V@ITER[+K], "
-               "rank=R@ITER or weibull=N)");
-  // --resched upgrades the campaign to the degrade engine's full
+  // inject is degrade's fault-oblivious mode; --resched selects the full
   // repair-and-reschedule loop under the same faults and pool.
-  if (opt.resched) return cmd_degrade(opt, out);
-  const nn::Network net = nn::workload_by_abbr(opt.workload);
-  const arch::AcceleratorConfig accel = accel_of(opt);
-  sched::Mapper mapper(accel, sched::ObjectiveSpec{}, {},
-                       sched::MapperOptions{true, threads_of(opt)});
-  const sched::NetworkSchedule ns = mapper.schedule_network(net);
-
-  fi::InjectOptions io;
-  io.iterations = opt.iterations;
-  io.spares = opt.spares;
-  io.seed = opt.seed;
-  for (const std::string& spec : opt.faults) {
-    auto fault = fi::parse_hardware_fault(spec);
-    ROTA_REQUIRE(fault.ok(),
-                 "--fault " + spec + ": " + fault.error().message);
-    io.faults.push_back(std::move(fault).take());
-  }
-
-  auto policy = wear::make_policy(opt.policy, accel.array_width,
-                                  accel.array_height, opt.seed);
-  const fi::FaultRunReport report =
-      fi::run_fault_injection(accel, ns, *policy, io);
-
-  out << net.name() << " x " << report.iterations_run
-      << " iterations, policy " << policy->name() << ", " << io.spares
-      << " spare(s):\n";
-  for (const std::string& event : report.events) out << "  " << event << '\n';
-
-  util::TextTable table({"quantity", "value"});
-  table.add_row({"faults injected",
-                 std::to_string(report.faults_injected)});
-  table.add_row({"transient restores",
-                 std::to_string(report.transient_restores)});
-  table.add_row({"remaps", std::to_string(report.spare_stats.remaps)});
-  table.add_row({"spare migrations",
-                 std::to_string(report.spare_stats.migrations)});
-  table.add_row({"spares in service",
-                 std::to_string(report.spare_stats.spares_in_service)});
-  table.add_row({"spares free",
-                 std::to_string(report.spare_stats.spares_free)});
-  table.add_row({"redirected units",
-                 std::to_string(report.redirected_units)});
-  table.add_row({"lost units", std::to_string(report.lost_units)});
-  table.add_row({"redirect fraction",
-                 util::fmt_pct(report.redirect_fraction, 2)});
-  out << table.str();
-  out << "MTTF, full spare pool: " << util::fmt(report.baseline_mttf, 4)
-      << "  degraded: " << util::fmt(report.degraded_mttf, 4)
-      << "  ratio: " << util::fmt(report.mttf_ratio, 3) << "x\n";
-  return 0;
+  Options degrade = opt;
+  degrade.oblivious = !opt.resched;
+  return cmd_degrade(degrade, out);
 }
 
 int cmd_sweep(const Options& opt, std::ostream& out) {
@@ -968,8 +919,7 @@ class ObservabilityScope {
     // the user's spelling when it parses — a bad spec fails in dispatch
     // with the full error message).
     if (options_.verb == Verb::kSchedule || options_.verb == Verb::kPareto ||
-        options_.verb == Verb::kDegrade ||
-        (options_.verb == Verb::kInject && options_.resched)) {
+        options_.verb == Verb::kDegrade || options_.verb == Verb::kInject) {
       if (auto spec = sched::parse_objective(options_.objective); spec.ok()) {
         manifest_.extra["objective.id"] = spec.value().id();
         manifest_.extra["objective.weights"] = spec.value().weights_csv();

@@ -100,8 +100,8 @@ std::vector<std::string_view> owned_flags(Verb verb) {
                "--queue-cap"};
       break;
     case Verb::kInject:
-      // --resched upgrades the campaign to the degrade engine's
-      // repair-and-reschedule loop; --objective drives those re-runs.
+      // inject is degrade --oblivious with a shorter flag set; --resched
+      // selects the fault-aware repair-and-reschedule loop instead.
       flags = {"--array", "--iters", "--spares", "--policy", "--seed",
                "--fault", "--threads", "--resched", "--objective"};
       break;
@@ -239,7 +239,7 @@ Options parse(const std::vector<std::string>& args) {
 
   // inject and degrade route faulted work through the spare pool, so
   // their default pool is non-empty (lifetime keeps 0 = the plain Eq. 3
-  // array). degrade ages longer than inject's quick campaign.
+  // array). inject keeps the global 1000-iteration default.
   if (opt.verb == Verb::kInject) opt.spares = 4;
   if (opt.verb == Verb::kDegrade) {
     opt.spares = 4;
@@ -429,17 +429,17 @@ std::string usage() {
       "    --batch N               flush replies at least every N requests\n"
       "    --queue-cap N           shed requests beyond N queued (default\n"
       "                            0 = unbounded)\n"
-      "  inject <abbr>             kill PEs mid-run, route work through the\n"
-      "                            spare pool, report degraded MTTF\n"
+      "  inject <abbr>             kill PEs mid-run and route their work\n"
+      "                            through the spare pool: the same run\n"
+      "                            and output as degrade --oblivious\n"
       "    --array WxH  --iters N  geometry / inference iterations\n"
       "    --spares N              spare-pool size (default 4)\n"
       "    --policy NAME           wear policy driven during the run\n"
       "    --fault SPEC            repeatable; pe=U,V@ITER[+K] |\n"
       "                            rank=R@ITER | weibull=N\n"
-      "    --resched               repair-and-reschedule instead of the\n"
-      "                            fault-oblivious campaign (the degrade\n"
-      "                            engine; --objective drives the re-runs)\n"
-      "    --objective SPEC        mapper objective for --resched re-runs\n"
+      "    --resched               fault-aware repair-and-reschedule (as\n"
+      "                            degrade without --oblivious)\n"
+      "    --objective SPEC        mapper objective for every (re)schedule\n"
       "    --seed N  --threads N   weibull sampling seed / worker lanes\n"
       "  degrade <abbr>            degraded-mode lifetime: in-run faults,\n"
       "                            live spare remapping, fault-aware\n"

@@ -32,7 +32,7 @@ enum class Verb {
   kArea,       ///< area breakdown and torus overhead
   kThermal,    ///< temperature fields and Arrhenius-coupled lifetime
   kServe,      ///< JSON-lines batch service on stdin/stdout (rota::svc)
-  kInject,     ///< hardware fault injection through the spare pool (rota::fi)
+  kInject,     ///< spelling of degrade --oblivious (rota::fi)
   kSweep,      ///< full workload x policy sweep to CSV, checkpointable
   kMc,         ///< Monte-Carlo MTTF of one workload+policy, checkpointable
   kPareto,     ///< per-layer Pareto fronts over (energy, MTTF, cycles)
@@ -76,7 +76,7 @@ struct Options {
   std::string checkpoint_path;      ///< checkpoint/resume file ("" = off)
   std::int64_t trials = 100000;     ///< mc: Monte-Carlo trials
   bool oblivious = false;  ///< degrade: fail-stop baseline (no repair loop)
-  bool resched = false;    ///< inject: route through the degrade engine
+  bool resched = false;    ///< inject: fault-aware mode instead
   double retire_fraction = 0.75;  ///< degrade: retire below this live share
   std::int64_t checkpoint_every = 64;  ///< degrade: autosave cadence (iters)
   // Observability (see src/obs/): every verb accepts these.

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <utility>
 
+#include "fi/inject.hpp"
 #include "obs/event_log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/progress.hpp"
@@ -49,8 +50,8 @@ double guarded_spare_mttf(const std::vector<double>& alphas,
   return rel::spare_array_mttf(alphas, std::min(tolerance, n - 1), beta);
 }
 
-/// One scheduled boundary action, like the injection campaign's: declared
-/// faults, resolved weibull strikes and pending transient restores.
+/// One scheduled boundary action: a declared fault, a resolved weibull
+/// strike or a pending transient restore.
 struct TimelineEvent {
   std::int64_t iteration = 1;
   bool is_restore = false;
@@ -82,6 +83,39 @@ bool pick_by_rank(const std::vector<std::int64_t>& usage,
       std::min<std::size_t>(static_cast<std::size_t>(rank), live.size() - 1);
   *u = static_cast<std::int64_t>(live[pick]) % width;
   *v = static_cast<std::int64_t>(live[pick]) / width;
+  return true;
+}
+
+/// Weibull victim weights usage^β over the live primaries (dead cells
+/// weigh zero).
+std::vector<double> weibull_weights(const std::vector<std::int64_t>& usage,
+                                    const rel::SpareRemapper& remapper,
+                                    double beta, std::int64_t width) {
+  std::vector<double> weight(usage.size(), 0.0);
+  for (std::size_t idx = 0; idx < usage.size(); ++idx) {
+    const auto u = static_cast<std::int64_t>(idx) % width;
+    const auto v = static_cast<std::int64_t>(idx) / width;
+    if (remapper.is_dead(u, v)) continue;
+    weight[idx] = std::pow(static_cast<double>(usage[idx]), beta);
+  }
+  return weight;
+}
+
+/// One weibull victim, drawn ∝ weight without replacement (its weight
+/// drops to zero) with one rng draw; false once every weight is zero.
+bool draw_weibull_victim(std::vector<double>& weight, util::SplitMix64& rng,
+                         std::size_t* victim) {
+  double total = 0.0;
+  for (const double w : weight) total += w;
+  if (total <= 0.0) return false;
+  double pick = rng.next_double() * total;
+  std::size_t idx = 0;
+  for (; idx + 1 < weight.size(); ++idx) {
+    if (pick < weight[idx]) break;
+    pick -= weight[idx];
+  }
+  weight[idx] = 0.0;
+  *victim = idx;
   return true;
 }
 
@@ -469,24 +503,15 @@ DegradeReport run_degraded_lifetime(const arch::AcceleratorConfig& config,
       if (weibull_count > 0) {
         // Weibull arrivals from observed wear: PE ∝ usage^β without
         // replacement, strike time T·U^{1/β} — one SplitMix64 substream,
-        // independent of thread count.
+        // independent of thread count. No PE has died yet (iteration 1's
+        // own events apply below), so every cell is a candidate.
         util::SplitMix64 rng(options.seed ^ kWeibullSeedTag);
-        std::vector<double> weight(usage.size(), 0.0);
-        for (std::size_t idx = 0; idx < usage.size(); ++idx) {
-          weight[idx] =
-              std::pow(static_cast<double>(usage[idx]), options.beta);
-        }
-        for (std::int64_t n = 0; n < weibull_count; ++n) {
-          double total = 0.0;
-          for (const double w : weight) total += w;
-          if (total <= 0.0) break;
-          double pick = rng.next_double() * total;
-          std::size_t idx = 0;
-          for (; idx + 1 < weight.size(); ++idx) {
-            if (pick < weight[idx]) break;
-            pick -= weight[idx];
-          }
-          weight[idx] = 0.0;  // without replacement
+        std::vector<double> weight =
+            weibull_weights(usage, remapper, options.beta, width);
+        std::size_t idx = 0;
+        for (std::int64_t n = 0;
+             n < weibull_count && draw_weibull_victim(weight, rng, &idx);
+             ++n) {
           TimelineEvent event;
           const double frac = std::pow(rng.next_double(), 1.0 / options.beta);
           event.iteration = std::clamp<std::int64_t>(
@@ -650,6 +675,106 @@ DegradeReport run_degraded_lifetime(const arch::AcceleratorConfig& config,
     if (report.retired) reg.add("degrade.retirements", 1);
   }
   return report;
+}
+
+namespace {
+
+util::Result<sched::ArrayState> array_state_from_faults_impl(
+    std::int64_t width, std::int64_t height,
+    const std::vector<HardwareFault>& faults, std::int64_t spares,
+    const WearSnapshot* wear) {
+  if (width < 1 || height < 1) {
+    return {util::ErrorCode::kInvalidArgument,
+            "array_state_from_faults: array must be at least 1x1, got " +
+                std::to_string(width) + "x" + std::to_string(height)};
+  }
+  if (spares < 0) {
+    return {util::ErrorCode::kInvalidArgument,
+            "array_state_from_faults: spares must be >= 0, got " +
+                std::to_string(spares)};
+  }
+  if (wear != nullptr) {
+    if (wear->usage.size() !=
+        static_cast<std::size_t>(width) * static_cast<std::size_t>(height)) {
+      return {util::ErrorCode::kInvalidArgument,
+              "array_state_from_faults: wear snapshot has " +
+                  std::to_string(wear->usage.size()) + " cells but the " +
+                  std::to_string(width) + "x" + std::to_string(height) +
+                  " array needs " + std::to_string(width * height)};
+    }
+    if (!(wear->beta > 0.0)) {
+      return {util::ErrorCode::kInvalidArgument,
+              "array_state_from_faults: wear snapshot beta must be positive"};
+    }
+  }
+  rel::SpareRemapper remapper(width, height, spares);
+  const auto kill = [&remapper](std::int64_t u, std::int64_t v) {
+    if (!remapper.is_dead(u, v)) (void)remapper.fault_primary(u, v);
+  };
+  for (const HardwareFault& fault : faults) {
+    if (fault.restore_after > 0) {
+      return {util::ErrorCode::kInvalidArgument,
+              "array_state_from_faults: transient fault '" + to_string(fault) +
+                  "' has no static dead-PE reading (it heals at runtime)"};
+    }
+    if (fault.kind != HardwareFaultKind::kCoordinate && wear == nullptr) {
+      return {util::ErrorCode::kInvalidArgument,
+              "array_state_from_faults: wear-dependent fault '" +
+                  to_string(fault) +
+                  "' needs a wear snapshot to get a static dead-PE reading"};
+    }
+    switch (fault.kind) {
+      case HardwareFaultKind::kCoordinate: {
+        if (fault.u < 0 || fault.u >= width || fault.v < 0 ||
+            fault.v >= height) {
+          return {util::ErrorCode::kInvalidArgument,
+                  "array_state_from_faults: fault '" + to_string(fault) +
+                      "' lies outside the " + std::to_string(width) + "x" +
+                      std::to_string(height) + " array"};
+        }
+        kill(fault.u, fault.v);
+        break;
+      }
+      case HardwareFaultKind::kWearRank: {
+        std::int64_t u = 0;
+        std::int64_t v = 0;
+        if (pick_by_rank(wear->usage, remapper, fault.rank, width, &u, &v)) {
+          kill(u, v);
+        }
+        break;
+      }
+      case HardwareFaultKind::kWeibull: {
+        // The engine's victim draw without the strike times, each spec
+        // from the seed's "weibull" substream.
+        util::SplitMix64 rng(wear->seed ^ kWeibullSeedTag);
+        std::vector<double> weight =
+            weibull_weights(wear->usage, remapper, wear->beta, width);
+        std::size_t idx = 0;
+        for (std::int64_t n = 0;
+             n < fault.count && draw_weibull_victim(weight, rng, &idx); ++n) {
+          kill(static_cast<std::int64_t>(idx) % width,
+               static_cast<std::int64_t>(idx) / width);
+        }
+        break;
+      }
+    }
+  }
+  return sched::ArrayState(remapper);
+}
+
+}  // namespace
+
+util::Result<sched::ArrayState> array_state_from_faults(
+    std::int64_t width, std::int64_t height,
+    const std::vector<HardwareFault>& faults, std::int64_t spares) {
+  return array_state_from_faults_impl(width, height, faults, spares, nullptr);
+}
+
+util::Result<sched::ArrayState> array_state_from_faults(
+    std::int64_t width, std::int64_t height,
+    const std::vector<HardwareFault>& faults, std::int64_t spares,
+    const WearSnapshot& wear) {
+  return array_state_from_faults_impl(width, height, faults, spares, &wear);
 }
 
 }  // namespace rota::fi

@@ -1,74 +1,27 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
-#include "arch/config.hpp"
 #include "fi/plan.hpp"
 #include "reliability/spares.hpp"
 #include "sched/array_state.hpp"
-#include "sched/schedule.hpp"
 #include "util/result.hpp"
-#include "wear/policy.hpp"
 
 /// \file inject.hpp
-/// Hardware fault injection: drive a wear-leveling policy over a schedule
-/// while killing PEs mid-run and routing their work through the spare
-/// pool (rel::SpareRemapper). The run answers the operational questions
-/// the analytic k-out-of-n model cannot: how much work lands on spares
-/// under a given fault sequence, when the pool exhausts, and how far MTTF
-/// degrades once part of the pool is spent.
-///
-/// Faults strike at iteration boundaries (a simulated inference pass is
-/// never torn). Work attribution is exact: each iteration's per-PE usage
-/// delta is credited to the spare standing in for a dead PE (redirected)
-/// or written off (lost) when the pool was exhausted, using the mapping
-/// that was in effect during that iteration.
+/// The static reading of a hardware fault plan: which PEs a plan leaves
+/// dead before any run, as the sched::ArrayState the fault-aware mapper
+/// consumes. The runtime reading — faults striking mid-run, work routed
+/// through the spare pool — is fi::run_degraded_lifetime (degrade.hpp);
+/// `rota inject` is its fault-oblivious mode. Both readings share one set
+/// of fault-selection rules (defined in degrade.cpp).
 
 namespace rota::fi {
-
-struct InjectOptions {
-  std::int64_t iterations = 256;  ///< inference passes to simulate
-  std::int64_t spares = 4;        ///< spare-pool size
-  std::uint64_t seed = 1;         ///< drives weibull fault sampling
-  double beta = rel::kJedecShape; ///< Weibull shape for sampling and MTTF
-  std::vector<HardwareFault> faults;
-};
-
-/// What happened. MTTF values use the per-iteration wear rates observed
-/// in this run (the policy is fault-oblivious, so they equal the
-/// fault-free profile): `baseline_mttf` is the array with its full spare
-/// pool; `degraded_mttf` re-evaluates with only the surviving free
-/// spares and with each in-service spare carrying its primary's load.
-struct FaultRunReport {
-  std::int64_t iterations_run = 0;
-  std::int64_t faults_injected = 0;    ///< fault events applied
-  std::int64_t transient_restores = 0;
-  std::int64_t redirected_units = 0;   ///< usage units served by spares
-  std::int64_t lost_units = 0;         ///< usage units with no PE to run on
-  double redirect_fraction = 0.0;      ///< redirected / total usage
-  double baseline_mttf = 0.0;
-  double degraded_mttf = 0.0;
-  double mttf_ratio = 0.0;             ///< degraded / baseline
-  rel::SpareRemapper::Stats spare_stats;
-  std::vector<std::int64_t> spare_usage;  ///< redirected units per spare
-  std::vector<std::string> events;     ///< human-readable fault log
-};
-
-/// Run the injection campaign. Deterministic for fixed inputs and seed.
-/// `policy` is driven from its current state (callers pass a fresh one).
-/// \pre options.iterations >= 1, options.spares >= 0; coordinate faults
-/// must lie inside the configured array.
-[[nodiscard]] FaultRunReport run_fault_injection(
-    const arch::AcceleratorConfig& config,
-    const sched::NetworkSchedule& schedule, wear::Policy& policy,
-    const InjectOptions& options);
 
 /// Observed per-PE wear that gives wear-dependent fault specs a static
 /// reading: `rank=R` resolves to the R-th most-worn live primary and
 /// `weibull=N` samples N distinct PEs with probability ∝ usage^β — the
-/// same selection rules the injection campaign applies at runtime.
+/// same selection rules the degrade engine applies at runtime.
 struct WearSnapshot {
   std::vector<std::int64_t> usage;  ///< row-major w·h usage counters
   double beta = rel::kJedecShape;   ///< Weibull shape for weibull= sampling
@@ -77,8 +30,8 @@ struct WearSnapshot {
 
 /// Fold permanent faults into the sched::ArrayState the fault-aware
 /// mapper consumes (DESIGN.md §15): each fault claims a spare through a
-/// fresh rel::SpareRemapper (lowest-free-spare order, like the injection
-/// campaign), and only PEs left dead *and* un-spared make the state
+/// fresh rel::SpareRemapper (lowest-free-spare order, like the degrade
+/// engine), and only PEs left dead *and* un-spared make the state
 /// degraded. Without a wear snapshot only permanent `pe=U,V@ITER` specs
 /// convert; with one, `rank=R@ITER` and `weibull=N` resolve against the
 /// snapshot deterministically. Errors (invalid_argument): out-of-range

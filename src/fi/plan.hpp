@@ -22,7 +22,8 @@
 ///   alloc=0.001,seed=42,match=schedule-cache
 ///
 /// **Hardware faults** (HardwareFault) kill PEs of the simulated array and
-/// are consumed by fi::run_fault_injection (inject.hpp). Grammar, one
+/// are consumed by fi::run_degraded_lifetime (degrade.hpp) at runtime and
+/// by fi::array_state_from_faults (inject.hpp) statically. Grammar, one
 /// fault per spec (the CLI flag repeats):
 ///
 ///   pe=U,V@ITER        permanent fault of PE (U,V) after iteration ITER

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 
 #include "util/check.hpp"
 
@@ -97,13 +98,24 @@ double spare_array_mttf(const std::vector<double>& alphas,
   SpareReliability reliability(alphas, spares, beta, eta);
   const double a_max = reliability.max_activity();
   ROTA_REQUIRE(a_max > 0.0, "at least one PE must have positive activity");
+  std::vector<double> active;
+  for (double a : alphas)
+    if (a > 0.0) active.push_back(a);
+  ROTA_REQUIRE(spares < static_cast<std::int64_t>(active.size()),
+               "spares must be fewer than the PEs with positive activity "
+               "(inactive PEs never fail, so the array would never die)");
+  // The array dies with its (spares+1)-th failure, so the (spares+1)-th
+  // most active PE bounds its lifetime.
+  const auto kth = active.begin() + static_cast<std::ptrdiff_t>(spares);
+  std::nth_element(active.begin(), kth, active.end(), std::greater<>());
+  const double a_kth = *kth;
 
   // Find a horizon where the array is (numerically) certainly dead, then
   // integrate R_s(t) with the trapezoid rule.
   double horizon = eta / a_max;
   while (reliability.at(horizon) > 1e-9) {
     horizon *= 2.0;
-    ROTA_ENSURE(horizon < 1e9 * eta / a_max,
+    ROTA_ENSURE(horizon < 1e9 * eta / a_kth,
                 "spare-array reliability does not decay");
   }
   constexpr int kSteps = 2048;

@@ -34,21 +34,22 @@ namespace rota::rel {
 
 /// MTTF of the spare-tolerant array: ∫ R_s(t) dt, integrated numerically
 /// (adaptive horizon, trapezoid rule; relative accuracy ~1e-4).
-/// \pre as spare_array_reliability, and at least one α > 0.
+/// \pre as spare_array_reliability, and spares < the number of PEs with
+/// α > 0 (inactive PEs never fail, so a larger pool never runs out).
 [[nodiscard]] double spare_array_mttf(const std::vector<double>& alphas,
                         std::int64_t spares, double beta = kJedecShape,
                         double eta = 1.0);
 
 /// Tracks which PEs of a w×h array have failed and which spare PE carries
 /// each failed PE's work — the operational counterpart of the analytic
-/// k-out-of-n model above, used by the fi fault-injection subsystem to
-/// answer "what happens when PE (u,v) dies mid-inference". Spares are a
-/// pool of `spares` extra PEs (ids 0..spares-1); spares can themselves
+/// k-out-of-n model above, used by the fi degrade engine to answer "what
+/// happens when PE (u,v) dies mid-inference". Spares are a pool of
+/// `spares` extra PEs (ids 0..spares-1); spares can themselves
 /// fail (their primary migrates to a fresh spare when one is free), and
 /// transiently-failed primaries can be restored (their spare returns to
 /// the pool). The class is pure bookkeeping: usage/wear accounting stays
-/// in wear::UsageTracker, and fi::FaultSession attributes redirected work
-/// using the mapping recorded here.
+/// in wear::UsageTracker, and fi::run_degraded_lifetime attributes
+/// redirected work using the mapping recorded here.
 class SpareRemapper {
  public:
   /// \pre width >= 1, height >= 1, spares >= 0

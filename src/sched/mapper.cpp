@@ -77,10 +77,6 @@ Mapper::Mapper(arch::AcceleratorConfig cfg, ObjectiveSpec objective,
   }
 }
 
-Mapper::Mapper(arch::AcceleratorConfig cfg, arch::EnergyModel energy,
-               MapperOptions options)
-    : Mapper(std::move(cfg), ObjectiveSpec{}, energy, options) {}
-
 Mapper::CacheShard& Mapper::shard_of(const LayerShapeKey& key) {
   return cache_[LayerShapeKeyHash{}(key) % kCacheShards];
 }

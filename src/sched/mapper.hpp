@@ -100,19 +100,13 @@ struct LayerShapeKeyHash {
 /// chain (objective.hpp).
 class Mapper {
  public:
-  /// The objective-based constructor every in-repo caller uses (the
-  /// mapper-objective lint rule enforces this). A non-default `array`
-  /// must match cfg's geometry; the default all-live state plus the
-  /// energy objective reproduces the historical mapper byte-for-byte.
+  /// The objective is mandatory, so every caller states what it
+  /// optimizes. A non-default `array` must match cfg's geometry; the
+  /// default all-live state plus the energy objective reproduces the
+  /// historical mapper byte-for-byte.
   explicit Mapper(arch::AcceleratorConfig cfg, ObjectiveSpec objective,
                   arch::EnergyModel energy = {}, MapperOptions options = {},
                   ArrayState array = {});
-
-  [[deprecated(
-      "pass a sched::ObjectiveSpec (sched/objective.hpp); this shim pins "
-      "the legacy energy objective and will be removed")]] explicit
-  Mapper(arch::AcceleratorConfig cfg, arch::EnergyModel energy = {},
-         MapperOptions options = {});
 
   [[nodiscard]] const arch::AcceleratorConfig& config() const { return cost_.config(); }
   [[nodiscard]] const MapperOptions& options() const { return options_; }

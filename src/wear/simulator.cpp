@@ -144,22 +144,4 @@ void WearSimulator::run_iterations(const sched::NetworkSchedule& schedule,
   reg.add("wear.iterations_fast_forwarded", skipped);
 }
 
-std::int64_t WearSimulator::run_iterations_while(
-    const sched::NetworkSchedule& schedule, Policy& policy,
-    std::int64_t iterations, const StoppingSampler& sampler) {
-  ROTA_REQUIRE(iterations >= 0, "iteration count must be non-negative");
-  ROTA_REQUIRE(static_cast<bool>(sampler),
-               "run_iterations_while needs a stopping sampler; use "
-               "run_iterations for unconditional runs");
-  const obs::TraceSpan span(policy.name(), "wear.run_while");
-  std::int64_t done = 0;
-  for (std::int64_t it = 1; it <= iterations; ++it) {
-    run_iteration(schedule, policy);
-    done = it;
-    if (!sampler(it, tracker_)) break;
-  }
-  obs::MetricsRegistry::global().add("wear.iterations", done);
-  return done;
-}
-
 }  // namespace rota::wear

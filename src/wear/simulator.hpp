@@ -83,22 +83,6 @@ class WearSimulator {
                       std::int64_t iterations,
                       const IterationSampler& sampler = {});
 
-  /// Callback invoked after each iteration, like IterationSampler, but its
-  /// return value controls continuation: `false` stops the run early.
-  /// Used by fi::FaultSession (stop once the array can no longer absorb
-  /// faults) and by checkpointed sweeps (stop at an interrupt boundary).
-  using StoppingSampler =
-      std::function<bool(std::int64_t, const UsageTracker&)>;
-
-  /// Run up to `iterations` inference passes, stopping early when
-  /// `sampler` returns false. Returns the number of iterations actually
-  /// completed. An iteration is never torn: the sampler only runs at
-  /// iteration boundaries, so usage counters always reflect a whole
-  /// number of passes. \pre iterations >= 0, sampler non-empty.
-  std::int64_t run_iterations_while(const sched::NetworkSchedule& schedule,
-                                    Policy& policy, std::int64_t iterations,
-                                    const StoppingSampler& sampler);
-
  private:
   arch::AcceleratorConfig cfg_;
   SimulatorOptions options_;

@@ -206,8 +206,28 @@ TEST(CliRun, InjectReportsRemappingAndDegradedMttf) {
   const std::string text = out.str();
   EXPECT_NE(text.find("faults injected"), std::string::npos);
   EXPECT_NE(text.find("redirected units"), std::string::npos);
-  EXPECT_NE(text.find("MTTF, full spare pool:"), std::string::npos);
-  EXPECT_NE(text.find("degraded:"), std::string::npos);
+  EXPECT_NE(text.find("mode oblivious"), std::string::npos);
+  EXPECT_NE(text.find("MTTF, fault-free profile:"), std::string::npos);
+  EXPECT_NE(text.find("residual (tolerance 2):"), std::string::npos);
+}
+
+TEST(CliRun, InjectIsDegradeOblivious) {
+  const std::vector<std::string> flags = {
+      "Sqz",     "--array",   "8x8",     "--iters",   "50",
+      "--spares", "1",        "--seed",  "7",
+      "--fault", "pe=1,1@10", "--fault", "rank=0@25", "--fault", "weibull=2"};
+  std::vector<std::string> inject = {"inject"};
+  inject.insert(inject.end(), flags.begin(), flags.end());
+  std::vector<std::string> degrade = {"degrade"};
+  degrade.insert(degrade.end(), flags.begin(), flags.end());
+  degrade.push_back("--oblivious");
+  std::ostringstream inject_out;
+  std::ostringstream degrade_out;
+  EXPECT_EQ(run(parse(inject), inject_out), 0);
+  EXPECT_EQ(run(parse(degrade), degrade_out), 0);
+  EXPECT_EQ(inject_out.str(), degrade_out.str());
+  EXPECT_NE(inject_out.str().find("unmapped (pool exhausted)"),
+            std::string::npos);
 }
 
 TEST(CliParse, ServeVerbAndFlags) {
@@ -286,6 +306,14 @@ TEST(CliRun, LifetimeWithSpares) {
                 out),
             0);
   EXPECT_NE(out.str().find("spare"), std::string::npos);
+}
+
+TEST(CliRun, LifetimeRejectsMoreSparesThanActivePes) {
+  // The Baseline profile leaves some PEs idle; a pool that covers every
+  // active PE is operator error (exit 2), not an internal invariant.
+  std::ostringstream out;
+  EXPECT_THROW(run(parse({"lifetime", "Sqz", "--spares", "140"}), out),
+               precondition_error);
 }
 
 TEST(CliRun, ThermalReportsBothGains) {

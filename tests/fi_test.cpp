@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <initializer_list>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -17,12 +18,12 @@
 #include "cli/options.hpp"
 #include "cli/signals.hpp"
 #include "fi/checkpoint.hpp"
+#include "fi/degrade.hpp"
 #include "fi/hooks.hpp"
 #include "fi/inject.hpp"
 #include "fi/plan.hpp"
 #include "nn/workloads.hpp"
 #include "par/parallel.hpp"
-#include "sched/mapper.hpp"
 #include "svc/engine.hpp"
 #include "util/io.hpp"
 #include "util/result.hpp"
@@ -399,95 +400,103 @@ TEST(FiCheckpoint, SavesSurviveInjectedIoFaultsViaRetry) {
 }
 
 // ------------------------------------------------- hardware injection
+//
+// `rota inject` is run_degraded_lifetime in fault-oblivious mode. The
+// counts and event lines below were recorded from the per-iteration
+// injection campaign it replaced, and the engine reproduces them exactly.
 
-InjectOptions small_inject(std::int64_t iterations, std::int64_t spares) {
-  InjectOptions options;
+DegradeOptions small_inject(std::int64_t iterations, std::int64_t spares,
+                            std::initializer_list<const char*> faults) {
+  DegradeOptions options;
   options.iterations = iterations;
   options.spares = spares;
   options.seed = 11;
+  options.mode = DegradeMode::kFaultOblivious;
+  for (const char* spec : faults) {
+    options.faults.push_back(parse_hardware_fault(spec).value());
+  }
   return options;
 }
 
-struct InjectFixture {
-  arch::AcceleratorConfig accel = arch::rota_like();
-  sched::NetworkSchedule ns;
-
-  InjectFixture() {
-    sched::Mapper mapper(accel, sched::ObjectiveSpec{}, {},
-                         sched::MapperOptions{true, 1});
-    ns = mapper.schedule_network(nn::workload_by_abbr("Sqz"));
-  }
-
-  [[nodiscard]] FaultRunReport run(const InjectOptions& options,
-                                   std::uint64_t policy_seed = 1) const {
-    auto policy =
-        wear::make_policy(wear::PolicyKind::kRwlRo, accel.array_width,
-                          accel.array_height, policy_seed);
-    return run_fault_injection(accel, ns, *policy, options);
-  }
-};
+DegradeReport run_inject(const DegradeOptions& options) {
+  return run_degraded_lifetime(arch::rota_like(), nn::workload_by_abbr("Sqz"),
+                               options);
+}
 
 TEST(FiInject, CoordinateFaultRedirectsWorkToASpare) {
-  InjectFixture fx;
-  InjectOptions options = small_inject(64, 2);
-  options.faults.push_back(parse_hardware_fault("pe=3,4@10").value());
-  const FaultRunReport report = fx.run(options);
-
+  const DegradeReport report = run_inject(small_inject(64, 2, {"pe=3,4@10"}));
   EXPECT_EQ(report.iterations_run, 64);
   EXPECT_EQ(report.faults_injected, 1);
   EXPECT_EQ(report.spare_stats.remaps, 1);
   EXPECT_EQ(report.spare_stats.spares_in_service, 1);
-  EXPECT_GT(report.redirected_units, 0);
+  EXPECT_EQ(report.redirected_units, 93356);
   EXPECT_EQ(report.lost_units, 0);
-  EXPECT_GT(report.redirect_fraction, 0.0);
-  EXPECT_GT(report.baseline_mttf, 0.0);
-  EXPECT_GT(report.degraded_mttf, 0.0);
+  EXPECT_EQ(report.events,
+            std::vector<std::string>{"it=10 fault pe=(3,4) -> spare 0"});
   // One spare spent out of two: the degraded array cannot beat the
   // full-pool one.
-  EXPECT_LE(report.mttf_ratio, 1.0);
-  ASSERT_EQ(report.spare_usage.size(), 2u);
-  EXPECT_GT(report.spare_usage[0], 0);
+  EXPECT_GT(report.mttf_final, 0.0);
+  EXPECT_LE(report.mttf_final, report.mttf_initial);
 }
 
 TEST(FiInject, ExhaustedPoolLosesWork) {
-  InjectFixture fx;
-  InjectOptions options = small_inject(64, 0);
-  options.faults.push_back(parse_hardware_fault("pe=3,4@10").value());
-  const FaultRunReport report = fx.run(options);
+  const DegradeReport report = run_inject(small_inject(64, 0, {"pe=3,4@10"}));
   EXPECT_EQ(report.spare_stats.unmapped, 1);
-  EXPECT_GT(report.lost_units, 0);
+  EXPECT_EQ(report.lost_units, 93356);
   EXPECT_EQ(report.redirected_units, 0);
+  EXPECT_EQ(report.events,
+            std::vector<std::string>{
+                "it=10 fault pe=(3,4) -> unmapped (pool exhausted)"});
+  // Fail-stop (Eq. 2): the first un-spared fault ends correct service.
+  EXPECT_EQ(report.first_unspared_at, 10);
+  EXPECT_EQ(report.mttf_final, 0.0);
 }
 
 TEST(FiInject, TransientFaultRestoresThePrimary) {
-  InjectFixture fx;
-  InjectOptions options = small_inject(64, 1);
-  options.faults.push_back(parse_hardware_fault("pe=2,2@10+5").value());
-  const FaultRunReport report = fx.run(options);
+  const DegradeReport report =
+      run_inject(small_inject(64, 1, {"pe=2,2@10+5"}));
   EXPECT_EQ(report.transient_restores, 1);
   EXPECT_EQ(report.spare_stats.restores, 1);
+  EXPECT_EQ(report.redirected_units, 8621);
   // After the restore the spare returns to the pool.
   EXPECT_EQ(report.spare_stats.spares_in_service, 0);
   EXPECT_EQ(report.spare_stats.spares_free, 1);
+  EXPECT_EQ(report.events,
+            (std::vector<std::string>{"it=10 fault pe=(2,2) -> spare 0",
+                                      "it=15 restore pe=(2,2)"}));
 }
 
 TEST(FiInject, RankAndWeibullFaultsAreDeterministic) {
-  InjectFixture fx;
-  InjectOptions options = small_inject(96, 4);
-  options.faults.push_back(parse_hardware_fault("rank=0@20").value());
-  options.faults.push_back(parse_hardware_fault("weibull=3").value());
-
-  const FaultRunReport a = fx.run(options);
-  const FaultRunReport b = fx.run(options);
+  const DegradeOptions options =
+      small_inject(96, 4, {"rank=0@20", "weibull=3"});
+  const DegradeReport a = run_inject(options);
+  const DegradeReport b = run_inject(options);
   EXPECT_EQ(a.events, b.events);
-  EXPECT_EQ(a.redirected_units, b.redirected_units);
   EXPECT_EQ(a.faults_injected, 4);  // 1 rank + 3 weibull
+  EXPECT_EQ(a.redirected_units, 169347);
+  EXPECT_EQ(a.events, (std::vector<std::string>{
+                          "weibull scheduled pe=(1,9)@88",
+                          "weibull scheduled pe=(9,2)@96",
+                          "weibull scheduled pe=(0,3)@82",
+                          "it=20 fault rank pe=(0,7) -> spare 0",
+                          "it=82 fault pe=(0,3) -> spare 1",
+                          "it=88 fault pe=(1,9) -> spare 2",
+                          "it=96 fault pe=(9,2) -> spare 3"}));
 
-  InjectOptions other = options;
+  DegradeOptions other = options;
   other.seed = 12345;
-  const FaultRunReport c = fx.run(other);
+  const DegradeReport c = run_inject(other);
   // A different seed moves the weibull strikes (rank stays declarative).
   EXPECT_EQ(c.faults_injected, 4);
+  EXPECT_EQ(c.redirected_units, 331774);
+  EXPECT_EQ(c.events, (std::vector<std::string>{
+                          "weibull scheduled pe=(1,11)@71",
+                          "weibull scheduled pe=(3,5)@34",
+                          "weibull scheduled pe=(2,9)@67",
+                          "it=20 fault rank pe=(0,7) -> spare 0",
+                          "it=34 fault pe=(3,5) -> spare 1",
+                          "it=67 fault pe=(2,9) -> spare 2",
+                          "it=71 fault pe=(1,11) -> spare 3"}));
 }
 
 // ------------------------------------- acceptance: end-to-end scenarios

@@ -304,73 +304,6 @@ class SimdIsolationRule(LintCase):
         self.assert_clean()
 
 
-class MapperObjectiveRule(LintCase):
-    def test_objectiveless_construction_fires(self) -> None:
-        self.write("src/core/run.cpp",
-                   "#include \"sched/mapper.hpp\"\n"
-                   "void f() {\n"
-                   "  sched::Mapper mapper(arch::rota_like());\n"
-                   "  (void)mapper;\n"
-                   "}\n")
-        out = self.assert_fires("mapper-objective", count=1)
-        self.assertIn("ObjectiveSpec", out)
-
-    def test_objectiveless_with_options_fires(self) -> None:
-        self.write("src/core/run.cpp",
-                   "void f() {\n"
-                   "  sched::Mapper mapper(cfg, {},\n"
-                   "                       sched::MapperOptions{true, 1});\n"
-                   "}\n")
-        self.assert_fires("mapper-objective", count=1)
-
-    def test_objective_construction_is_fine(self) -> None:
-        self.write("src/core/run.cpp",
-                   "void f() {\n"
-                   "  sched::Mapper mapper(cfg, sched::ObjectiveSpec{}, {},\n"
-                   "                       sched::MapperOptions{true, 1});\n"
-                   "}\n")
-        self.assert_clean()
-
-    def test_member_initializer_fires(self) -> None:
-        self.write("src/core/run.cpp",
-                   "Experiment::Experiment(Config c)\n"
-                   "    : mapper_(c.accel, {}, sched::MapperOptions{}) {}\n")
-        self.assert_fires("mapper-objective", count=1)
-
-    def test_member_initializer_with_objective_is_fine(self) -> None:
-        self.write("src/core/run.cpp",
-                   "Experiment::Experiment(Config c)\n"
-                   "    : mapper_(c.accel, sched::ObjectiveSpec{},\n"
-                   "              {}, sched::MapperOptions{}) {}\n")
-        self.assert_clean()
-
-    def test_rs_mapper_is_not_matched(self) -> None:
-        self.write("src/sched/rs.cpp",
-                   "void f() {\n"
-                   "  sched::RsMapper mapper(arch::rota_like());\n"
-                   "}\n")
-        self.assert_clean()
-
-    def test_mapper_shim_files_exempt(self) -> None:
-        self.write("src/sched/mapper.cpp",
-                   "Mapper::Mapper(arch::AcceleratorConfig cfg,\n"
-                   "               arch::EnergyModel energy)\n"
-                   "    : Mapper(std::move(cfg), ObjectiveSpec{}, energy) "
-                   "{}\n"
-                   "void g() {\n"
-                   "  Mapper shim(arch::rota_like());\n"
-                   "}\n")
-        self.assert_clean()
-
-    def test_allow_escape(self) -> None:
-        self.write("src/core/run.cpp",
-                   "void f() {\n"
-                   "  sched::Mapper legacy(cfg);  "
-                   "// rota-lint: allow(mapper-objective)\n"
-                   "}\n")
-        self.assert_clean()
-
-
 class CompileDbScoping(LintCase):
     VIOLATION = ("#include <cstdlib>\n"
                  "int roll() { return rand(); }\n")

@@ -4,8 +4,8 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <limits>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -381,10 +381,23 @@ TEST(Spares, MttfMatchesMonteCarloWithOneSpare) {
   EXPECT_NEAR(closed, sampled, 0.02 * closed);
 }
 
+TEST(Spares, ToleranceBeyondTheActivitySpreadStillDecays) {
+  // The pool outlives the most active PE by far more than 1e9: the
+  // horizon search scales with the PE whose failure exhausts the pool.
+  const double wide = spare_array_mttf({1.0, 1e-10}, 1);
+  const double narrow = spare_array_mttf({1.0, 1e-8}, 1);
+  EXPECT_NEAR(wide, 8.98382e9, 1e-5 * wide);
+  EXPECT_NEAR(wide / narrow, 100.0, 1e-6 * 100.0);
+}
+
 TEST(Spares, RejectsInvalidArguments) {
   EXPECT_THROW((void)spare_array_reliability({1.0}, 1.0, -1), precondition_error);
   EXPECT_THROW((void)spare_array_reliability({}, 1.0, 0), precondition_error);
   EXPECT_THROW((void)spare_array_mttf({0.0}, 1), precondition_error);
+  // A pool that covers every active PE never runs out: inactive PEs never
+  // fail, so one spare makes {1, 0, 0} immortal.
+  EXPECT_THROW((void)spare_array_mttf({1.0, 0.0, 0.0}, 1), precondition_error);
+  EXPECT_THROW((void)spare_array_mttf({1.0, 2.0}, 2), precondition_error);
   // Non-finite inputs are caller errors, not a reliability that fails to
   // decay (an internal invariant) or a silently returned number.
   const double inf = std::numeric_limits<double>::infinity();
@@ -435,11 +448,19 @@ double spare_array_reliability(const std::vector<double>& alphas, double t,
 double spare_array_mttf(const std::vector<double>& alphas,
                         std::int64_t spares, double beta, double eta) {
   double a_max = 0.0;
-  for (double a : alphas) a_max = std::max(a_max, a);
+  std::vector<double> active;
+  for (double a : alphas) {
+    a_max = std::max(a_max, a);
+    if (a > 0.0) active.push_back(a);
+  }
+  if (spares >= static_cast<std::int64_t>(active.size()))
+    throw util::precondition_error("spares must be fewer than active PEs");
+  std::sort(active.begin(), active.end(), std::greater<>());
+  const double a_kth = active[static_cast<std::size_t>(spares)];
   double horizon = eta / a_max;
   while (spare_array_reliability(alphas, horizon, spares, beta, eta) > 1e-9) {
     horizon *= 2.0;
-    if (!(horizon < 1e9 * eta / a_max))
+    if (!(horizon < 1e9 * eta / a_kth))
       throw util::invariant_error("spare-array reliability does not decay");
   }
   constexpr int kSteps = 2048;
@@ -503,17 +524,6 @@ MonteCarloResult monte_carlo_spare_mttf(const std::vector<double>& alphas,
 
 std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 
-/// The closed form's value, or nullopt where its horizon search gives up
-/// (spares that outlast a 1e9 spread of activities).
-template <typename F>
-std::optional<double> mttf_or_no_decay(F&& mttf) {
-  try {
-    return mttf();
-  } catch (const util::invariant_error&) {
-    return std::nullopt;
-  }
-}
-
 struct Profile {
   std::string name;
   std::vector<double> alphas;
@@ -567,20 +577,26 @@ std::vector<std::int64_t> spare_counts(std::int64_t cap) {
 }
 
 TEST(BitIdentity, SpareMttfMatchesPerPeClosedForm) {
+  std::int64_t rejected = 0;
   for (const Profile& prof : bit_identity_profiles()) {
     const auto n = static_cast<std::int64_t>(prof.alphas.size());
+    std::int64_t active = 0;
+    for (double a : prof.alphas) active += a > 0.0 ? 1 : 0;
     for (const std::int64_t spares : spare_counts(n - 1)) {
       for (const double beta : {3.4, 1.0, 0.7}) {
         SCOPED_TRACE(prof.name + " spares=" + std::to_string(spares) +
                      " beta=" + std::to_string(beta));
-        const std::optional<double> want = mttf_or_no_decay([&] {
-          return per_pe::spare_array_mttf(prof.alphas, spares, beta, 1.0);
-        });
-        const std::optional<double> got = mttf_or_no_decay(
-            [&] { return spare_array_mttf(prof.alphas, spares, beta); });
-        ASSERT_EQ(want.has_value(), got.has_value());
-        if (want) {
-          EXPECT_EQ(bits(*want), bits(*got));
+        if (spares >= active) {
+          EXPECT_THROW(
+              (void)per_pe::spare_array_mttf(prof.alphas, spares, beta, 1.0),
+              util::precondition_error);
+          EXPECT_THROW((void)spare_array_mttf(prof.alphas, spares, beta),
+                       util::precondition_error);
+          ++rejected;
+        } else {
+          EXPECT_EQ(bits(per_pe::spare_array_mttf(prof.alphas, spares, beta,
+                                                  1.0)),
+                    bits(spare_array_mttf(prof.alphas, spares, beta)));
         }
         for (const double t : {0.0, 0.3, 1.0, 2.5}) {
           EXPECT_EQ(bits(per_pe::spare_array_reliability(prof.alphas, t,
@@ -591,6 +607,9 @@ TEST(BitIdentity, SpareMttfMatchesPerPeClosedForm) {
       }
     }
   }
+  // Only the zeros profile's full pool (47 spares, 36 active PEs) at each
+  // beta exceeds the active count.
+  EXPECT_EQ(rejected, 3);
 }
 
 TEST(BitIdentity, SpareMonteCarloMatchesFullSort) {

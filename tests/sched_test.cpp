@@ -783,26 +783,5 @@ TEST(Pareto, LifetimeSelectionMaximizesProjectedMttf) {
   EXPECT_GE(selected->mttf, eselected->mttf);
 }
 
-// The deprecated two-argument shim must stay byte-identical to the energy
-// objective while it lives; this is its one sanctioned use in the repo.
-TEST(Mapper, DeprecatedShimMatchesEnergyObjective) {
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  Mapper legacy(arch::eyeriss_like());  // rota-lint: allow(mapper-objective)
-#pragma GCC diagnostic pop
-  EXPECT_EQ(legacy.objective(), ObjectiveSpec{});
-  Mapper current(arch::eyeriss_like(), ObjectiveSpec{});
-  const nn::Network net = nn::make_squeezenet();
-  const NetworkSchedule a = legacy.schedule_network(net);
-  const NetworkSchedule b = current.schedule_network(net);
-  ASSERT_EQ(a.layers.size(), b.layers.size());
-  for (std::size_t i = 0; i < a.layers.size(); ++i) {
-    EXPECT_EQ(a.layers[i].energy, b.layers[i].energy);
-    EXPECT_EQ(a.layers[i].cycles, b.layers[i].cycles);
-    EXPECT_EQ(a.layers[i].tiles, b.layers[i].tiles);
-    EXPECT_EQ(a.layers[i].mapping, b.layers[i].mapping);
-  }
-}
-
 }  // namespace
 }  // namespace rota::sched

@@ -61,14 +61,6 @@ Rules enforced (each can be suppressed on a specific line with a trailing
                the Result contract is "errors come back as values", and a
                missing noexcept lets an implementation exception escape
                through the facade unannounced.
-  mapper-objective
-               Every sched::Mapper construction names a sched::ObjectiveSpec.
-               The objective-less constructor is a [[deprecated]] shim that
-               pins the legacy energy objective; new call sites must say
-               which objective they mean (ObjectiveSpec{} for energy) so
-               manifests, cache fingerprints and bench comparisons carry
-               the right provenance. src/sched/mapper.{hpp,cpp} (the shim's
-               own declaration/definition) are exempt.
 
 Header self-containment is checked by the CMake `rota_header_checks`
 target, which compiles every src/ header as a standalone TU. Clang's
@@ -150,20 +142,6 @@ SIGNAL_SAFE_KEYWORDS = frozenset({
 
 # --- api-noexcept rule --------------------------------------------------
 RESULT_RETURN = re.compile(r"\bResult\s*<")
-
-# --- mapper-objective rule ----------------------------------------------
-# A Mapper *construction*: "Mapper name(" or "Mapper name{". The \b-free
-# left guard keeps RsMapper (its own class, no objective) out. Member
-# declarations like "sched::Mapper mapper_;" don't match (no open bracket),
-# and mem-initializer construction "mapper_(...)" carries its arguments on
-# the same statement, which the joined-statement scan below covers.
-MAPPER_CTOR = re.compile(
-    r"(?<![A-Za-z0-9_])(?:sched::)?Mapper\s+\w+\s*[({]|"
-    r"(?<![A-Za-z0-9_])mapper_\s*\(")
-MAPPER_EXEMPT = (
-    Path("src") / "sched" / "mapper.hpp",
-    Path("src") / "sched" / "mapper.cpp",
-)
 
 # --- simd-isolation rule ------------------------------------------------
 # Vendor intrinsics headers: immintrin.h and friends (xmmintrin, emmintrin,
@@ -382,33 +360,6 @@ class Linter:
                           "as a value, so mark it noexcept and catch "
                           "internally")
 
-    def check_mapper_objective(self, path: Path, stripped: str,
-                               raw: list[str]) -> None:
-        """Every sched::Mapper construction must name an ObjectiveSpec;
-        the objective-less ctor is a deprecated shim."""
-        rel = path.relative_to(self.root)
-        if rel in MAPPER_EXEMPT:
-            return
-        lines = stripped.splitlines()
-        for m in MAPPER_CTOR.finditer(stripped):
-            lineno = stripped.count("\n", 0, m.start()) + 1
-            if self.allowed(raw, lineno, "mapper-objective"):
-                continue
-            # The construction statement: this line joined with its
-            # continuations until the terminating ';' (or a small cap —
-            # real call sites fit in a handful of lines).
-            stmt = ""
-            for j in range(lineno - 1, min(lineno + 5, len(lines))):
-                stmt += lines[j]
-                if ";" in lines[j]:
-                    break
-            if "bjective" not in stmt:
-                self.fail(path, lineno, "mapper-objective",
-                          "sched::Mapper construction without an "
-                          "ObjectiveSpec uses the deprecated energy-shim "
-                          "ctor; pass sched::ObjectiveSpec{} (or the "
-                          "objective you mean) so provenance is explicit")
-
     def check_pragma_once(self, path: Path, raw: list[str]) -> None:
         if path.suffix != ".hpp":
             return
@@ -592,7 +543,6 @@ class Linter:
             self.check_signal_safety(path, stripped, raw)
             self.check_simd_isolation(path, stripped, raw)
             self.check_api_noexcept(path, stripped, raw)
-            self.check_mapper_objective(path, stripped, raw)
             self.check_pragma_once(path, raw)
             self.check_pre_require(path, text, stripped, raw)
         if self.failures:
