@@ -228,32 +228,10 @@ util::Grid<std::int64_t> zoo_usage(const sched::NetworkSchedule& ns,
   return sim.tracker().usage();
 }
 
-/// The 2-spare closed form on a zoo vector, as `rota lifetime Res
-/// --spares 2` evaluates it: ResNet-50 under RWL+RO, scaled by the
-/// Baseline peak. Its repeated activity levels are what the per-level
-/// Weibull CDFs exploit (DESIGN.md §14.6).
-void BM_SpareArrayMttf(benchmark::State& state) {
-  sched::Mapper mapper(arch::rota_like(), sched::ObjectiveSpec{});
-  const auto ns = mapper.schedule_network(nn::workload_by_abbr("Res"));
-  const auto baseline = zoo_usage(ns, wear::PolicyKind::kBaseline);
-  const auto leveled = zoo_usage(ns, wear::PolicyKind::kRwlRo);
-  double peak = 1.0;
-  for (std::int64_t v : baseline.cells())
-    peak = std::max(peak, static_cast<double>(v));
-  std::vector<double> alphas;
-  for (std::int64_t v : leveled.cells())
-    alphas.push_back(static_cast<double>(v) / peak);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(rel::spare_array_mttf(alphas, 2));
-  }
-}
-BENCHMARK(BM_SpareArrayMttf)->Unit(benchmark::kMillisecond);
-
-/// The `rota degrade --mc` cross-check on a degraded live set: the 164
-/// surviving PEs of the EXPERIMENTS.md AlexNet plan at 16384 iterations,
-/// tolerance 29 (2 spares plus the retirement budget), 20000 trials —
-/// the pivot-filtered order statistic's target (DESIGN.md §14.6).
-void BM_MonteCarloSpareMttf(benchmark::State& state) {
+/// The EXPERIMENTS.md AlexNet degrade plan at 16384 iterations: its 164
+/// surviving PEs and the residual tolerance 29 (2 spares plus the
+/// retirement budget) are what `rota degrade` hands the reliability layer.
+fi::DegradeReport degraded_alexnet() {
   fi::DegradeOptions o;
   o.iterations = 16384;
   o.spares = 2;
@@ -262,8 +240,47 @@ void BM_MonteCarloSpareMttf(benchmark::State& state) {
   o.workload_tag = "AN";
   for (const char* spec : {"pe=5,5@64", "rank=0@192", "weibull=4"})
     o.faults.push_back(fi::parse_hardware_fault(spec).take());
-  const fi::DegradeReport report = fi::run_degraded_lifetime(
-      arch::rota_like(), nn::workload_by_abbr("AN"), o);
+  return fi::run_degraded_lifetime(arch::rota_like(),
+                                   nn::workload_by_abbr("AN"), o);
+}
+
+/// The closed-form spare MTTF. Arg(0): the 2-spare closed form on a zoo
+/// vector, as `rota lifetime Res --spares 2` evaluates it — ResNet-50
+/// under RWL+RO, scaled by the Baseline peak; its repeated activity
+/// levels are what the per-level Weibull CDFs exploit. Arg(1): the
+/// degraded AlexNet live set at tolerance 29, a 30-deep Poisson-binomial
+/// recurrence over 164 PEs with 126 distinct levels (DESIGN.md §14.6).
+void BM_SpareArrayMttf(benchmark::State& state) {
+  std::vector<double> alphas;
+  std::int64_t spares = 2;
+  if (state.range(0) == 0) {
+    sched::Mapper mapper(arch::rota_like(), sched::ObjectiveSpec{});
+    const auto ns = mapper.schedule_network(nn::workload_by_abbr("Res"));
+    const auto baseline = zoo_usage(ns, wear::PolicyKind::kBaseline);
+    const auto leveled = zoo_usage(ns, wear::PolicyKind::kRwlRo);
+    double peak = 1.0;
+    for (std::int64_t v : baseline.cells())
+      peak = std::max(peak, static_cast<double>(v));
+    for (std::int64_t v : leveled.cells())
+      alphas.push_back(static_cast<double>(v) / peak);
+  } else {
+    const fi::DegradeReport report = degraded_alexnet();
+    alphas = report.live_alphas;
+    spares = report.mttf_tolerance;
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(rel::spare_array_mttf(alphas, spares));
+  }
+  state.SetLabel(std::to_string(alphas.size()) + " PEs, tolerance " +
+                 std::to_string(spares));
+}
+BENCHMARK(BM_SpareArrayMttf)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+/// The `rota degrade --mc` cross-check on the degraded AlexNet live set,
+/// 20000 trials — the certified-bracket order statistic's target
+/// (DESIGN.md §14.6).
+void BM_MonteCarloSpareMttf(benchmark::State& state) {
+  const fi::DegradeReport report = degraded_alexnet();
   for (auto _ : state) {
     benchmark::DoNotOptimize(rel::monte_carlo_spare_mttf(
         report.live_alphas, report.mttf_tolerance, rel::kJedecShape, 1.0,

@@ -40,14 +40,14 @@ std::string pe_name(std::int64_t u, std::int64_t v) {
 
 /// spare_array_mttf guarded against degenerate inputs: a dead or inactive
 /// live set has no remaining lifetime, and the tolerance is capped below
-/// the live-set size (tolerating every PE would make the MTTF infinite).
+/// the number of active PEs (idle PEs never fail, so tolerating every
+/// active one would make the MTTF infinite).
 double guarded_spare_mttf(const std::vector<double>& alphas,
                           std::int64_t tolerance, double beta) {
   std::int64_t active = 0;
   for (const double a : alphas) active += a > 0.0 ? 1 : 0;
   if (active == 0) return 0.0;
-  const std::int64_t n = static_cast<std::int64_t>(alphas.size());
-  return rel::spare_array_mttf(alphas, std::min(tolerance, n - 1), beta);
+  return rel::spare_array_mttf(alphas, std::min(tolerance, active - 1), beta);
 }
 
 /// One scheduled boundary action: a declared fault, a resolved weibull

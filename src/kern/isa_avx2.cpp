@@ -110,6 +110,17 @@ double weibull_min_avx2(const double* u, const double* c_pow,
   return weibull_min_impl<Avx2Lane>(u, c_pow, n);
 }
 
+void weibull_powers_avx2(const double* u, const double* c_pow,
+                         double* out, std::size_t n) {
+  weibull_powers_impl<Avx2Lane>(u, c_pow, out, n);
+}
+
+void poisson_binomial_x4_avx2(const double* p_fail,
+                              const std::size_t* level_of, std::size_t n,
+                              std::size_t cap, double* dp, double* sums) {
+  poisson_binomial_x4_impl<Avx2Lane>(p_fail, level_of, n, cap, dp, sums);
+}
+
 // memcpy in/out of __m256i keeps the int64 batches strict-aliasing clean;
 // it compiles to vmovdqu.
 __m256i load_i256(const std::int64_t* p) {
@@ -179,7 +190,8 @@ I64Stats minmax_sum_i64_avx2(const std::int64_t* x, std::size_t n) {
 const Kernels& avx2_kernels() {
   static const Kernels kKernels{
       &sum_pow_avx2,        &sum_exp_affine_avx2,
-      &weibull_min_avx2,
+      &weibull_min_avx2,    &weibull_powers_avx2,
+      &poisson_binomial_x4_avx2,
       &add_i64_avx2,        &add_scalar_i64_avx2,
       &minmax_sum_i64_avx2,
   };

@@ -25,6 +25,17 @@ double weibull_min_scalar(const double* u, const double* c_pow,
   return weibull_min_impl<ScalarLane>(u, c_pow, n);
 }
 
+void weibull_powers_scalar(const double* u, const double* c_pow,
+                           double* out, std::size_t n) {
+  weibull_powers_impl<ScalarLane>(u, c_pow, out, n);
+}
+
+void poisson_binomial_x4_scalar(const double* p_fail,
+                                const std::size_t* level_of, std::size_t n,
+                                std::size_t cap, double* dp, double* sums) {
+  poisson_binomial_x4_impl<ScalarLane>(p_fail, level_of, n, cap, dp, sums);
+}
+
 void add_i64_scalar(std::int64_t* dst, const std::int64_t* src,
                     std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) dst[i] += src[i];
@@ -51,7 +62,8 @@ I64Stats minmax_sum_i64_scalar(const std::int64_t* x, std::size_t n) {
 const Kernels& scalar_kernels() {
   static const Kernels kKernels{
       &sum_pow_scalar,        &sum_exp_affine_scalar,
-      &weibull_min_scalar,
+      &weibull_min_scalar,    &weibull_powers_scalar,
+      &poisson_binomial_x4_scalar,
       &add_i64_scalar,        &add_scalar_i64_scalar,
       &minmax_sum_i64_scalar,
   };

@@ -125,6 +125,23 @@ double weibull_min(const double* u, const double* c_pow, std::size_t n) {
   return active().weibull_min(u, c_pow, n);
 }
 
+void weibull_powers(const double* u, const double* c_pow, double* out,
+                    std::size_t n) {
+  ROTA_REQUIRE(n == 0 || (u != nullptr && c_pow != nullptr && out != nullptr),
+               "weibull_powers needs non-null batches");
+  active().weibull_powers(u, c_pow, out, n);
+}
+
+void poisson_binomial_x4(const double* p_fail, const std::size_t* level_of,
+                         std::size_t n, std::size_t cap, double* dp,
+                         double* sums) {
+  ROTA_REQUIRE(cap >= 1, "poisson_binomial_x4 needs at least one dp slot");
+  ROTA_REQUIRE(p_fail != nullptr && dp != nullptr && sums != nullptr &&
+                   (n == 0 || level_of != nullptr),
+               "poisson_binomial_x4 needs non-null buffers");
+  active().poisson_binomial_x4(p_fail, level_of, n, cap, dp, sums);
+}
+
 void add_i64(std::int64_t* dst, const std::int64_t* src, std::size_t n) {
   ROTA_REQUIRE(n == 0 || (dst != nullptr && src != nullptr),
                "add_i64 needs non-null batches");

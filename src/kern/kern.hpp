@@ -84,6 +84,34 @@ void force_isa(Isa isa);
 [[nodiscard]] double weibull_min(const double* u, const double* c_pow,
                                  std::size_t n);
 
+/// The same β-power-domain failure times without the reduction: writes
+/// out_i = c_pow_i · (−log(1 − u_i)), the exact element value weibull_min
+/// takes the minimum of. Element-wise, so the scalar and AVX2 paths agree
+/// bit for bit with no tree contract. rel::monte_carlo_spare_mttf ranks
+/// these approximations before it computes any exact log1p
+/// (DESIGN.md §14.6).
+/// \pre u, c_pow and out non-null when n > 0, with the domain of
+///      weibull_min; out does not overlap u or c_pow.
+void weibull_powers(const double* u, const double* c_pow, double* out,
+                    std::size_t n);
+
+/// The truncated Poisson-binomial recurrence at four independent
+/// evaluation points, one per lane. Lane j reads PE i's failure
+/// probability from p_fail[4·level_of[i] + j] and runs, over i in
+/// ascending order,
+///   dp[k] ← dp[k]·(1 − p) + dp[k−1]·p   for k = cap−1 … 1,
+///   dp[0] ← dp[0]·(1 − p) + 0
+/// from dp = {1, 0, …, 0}, then writes sums[j] = Σ_{k<cap} dp[k] summed in
+/// ascending k from 0. These are exactly the IEEE operations of a plain
+/// one-point loop in the same order (no FMA), so every lane reproduces a
+/// scalar evaluation bit for bit on either ISA. `dp` is caller scratch of
+/// 4·cap doubles, laid out dp[4·k + j].
+/// \pre cap >= 1; p_fail, dp and sums non-null; level_of non-null when
+///      n > 0 and every level_of[i] indexes into p_fail.
+void poisson_binomial_x4(const double* p_fail, const std::size_t* level_of,
+                         std::size_t n, std::size_t cap, double* dp,
+                         double* sums);
+
 /// dst_i += src_i over n elements (exact; caller guarantees no overflow).
 void add_i64(std::int64_t* dst, const std::int64_t* src, std::size_t n);
 
@@ -125,6 +153,9 @@ struct Kernels {
   double (*sum_pow)(const double*, double, std::size_t);
   double (*sum_exp_affine)(const double*, const double*, double, std::size_t);
   double (*weibull_min)(const double*, const double*, std::size_t);
+  void (*weibull_powers)(const double*, const double*, double*, std::size_t);
+  void (*poisson_binomial_x4)(const double*, const std::size_t*, std::size_t,
+                              std::size_t, double*, double*);
   void (*add_i64)(std::int64_t*, const std::int64_t*, std::size_t);
   void (*add_scalar_i64)(std::int64_t*, std::int64_t, std::size_t);
   I64Stats (*minmax_sum_i64)(const std::int64_t*, std::size_t);

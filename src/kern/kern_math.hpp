@@ -329,4 +329,48 @@ double weibull_min_impl(const double* u, const double* c_pow,
   return (m01 < m23) ? m01 : m23;
 }
 
+/// out_i = c_pow_i·(−log(1 − u_i)): weibull_min's elements, stored.
+template <class V>
+void weibull_powers_impl(const double* u, const double* c_pow, double* out,
+                         std::size_t n) {
+  static_assert(V::kWidth == 1 || V::kWidth == kTreeLanes);
+  std::size_t i = 0;
+  if constexpr (V::kWidth == kTreeLanes) {
+    for (; i + V::kWidth <= n; i += V::kWidth) {
+      V::store(out + i, weibull_elem(V::load(u + i), V::load(c_pow + i)));
+    }
+  }
+  for (; i < n; ++i) out[i] = weibull_elem_1(u[i], c_pow[i]);
+}
+
+/// Four truncated Poisson-binomial recurrences, one per lane of the
+/// dp[4·k + j] layout. The scalar instantiation walks the lanes one after
+/// another; the AVX2 one advances all four together. Either way each
+/// lane sees the same multiplies and adds in the same order as the
+/// one-point loop documented in kern.hpp.
+template <class V>
+void poisson_binomial_x4_impl(const double* p_fail,
+                              const std::size_t* level_of, std::size_t n,
+                              std::size_t cap, double* dp, double* sums) {
+  static_assert(V::kWidth == 1 || V::kWidth == kTreeLanes);
+  constexpr std::size_t kW = kTreeLanes;
+  for (std::size_t lane = 0; lane < kW; lane += V::kWidth) {
+    double* d = dp + lane;
+    V::store(d, V::splat(1.0));
+    for (std::size_t k = 1; k < cap; ++k) V::store(d + k * kW, V::splat(0.0));
+    for (std::size_t i = 0; i < n; ++i) {
+      const V p = V::load(p_fail + level_of[i] * kW + lane);
+      const V q = V::splat(1.0) - p;
+      for (std::size_t k = cap - 1; k > 0; --k) {
+        V::store(d + k * kW,
+                 V::load(d + k * kW) * q + V::load(d + (k - 1) * kW) * p);
+      }
+      V::store(d, V::load(d) * q + V::splat(0.0));
+    }
+    V acc = V::splat(0.0);
+    for (std::size_t k = 0; k < cap; ++k) acc = acc + V::load(d + k * kW);
+    V::store(sums + lane, acc);
+  }
+}
+
 }  // namespace rota::kern::detail

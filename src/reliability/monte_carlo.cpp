@@ -111,75 +111,156 @@ double sample_failure(const FailureSampler& s, std::vector<double>& u,
   return kern::pow1(kern::weibull_min(u.data(), s.c_pow.data(), k), s.p);
 }
 
+/// The r-th smallest (0-based) of x[0, n): quickselect with median-of-3
+/// pivots and branch-free three-way partitions. Each pass reads one
+/// buffer and writes the two others, so no store aliases a pending load;
+/// x, b1 and b2 each hold n doubles and all three are clobbered. The r-th
+/// smallest *value* is unique even under ties, so the result equals
+/// std::nth_element's. \pre r < n, x holds no NaN.
+double select_rank(double* x, double* b1, double* b2, std::size_t n,
+                   std::size_t r) {
+  double* src = x;
+  double* lo = b1;
+  double* hi = b2;
+  while (n > 2) {
+    const double a = src[0];
+    const double b = src[n / 2];
+    const double c = src[n - 1];
+    const double pivot =
+        std::max(std::min(a, b), std::min(std::max(a, b), c));
+    std::size_t lt = 0;
+    std::size_t gt = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double v = src[i];
+      lo[lt] = v;
+      hi[gt] = v;
+      lt += static_cast<std::size_t>(v < pivot);
+      gt += static_cast<std::size_t>(v > pivot);
+    }
+    if (r < lt) {
+      std::swap(src, lo);
+      n = lt;
+    } else if (r < n - gt) {
+      return pivot;
+    } else {
+      r -= n - gt;
+      std::swap(src, hi);
+      n = gt;
+    }
+  }
+  if (n == 1) return src[0];
+  return r == 0 ? std::min(src[0], src[1]) : std::max(src[0], src[1]);
+}
+
 /// Per-chunk state of the with-spares sampler: scratch buffers reused by
 /// every trial, and the pivot carried from one trial to the next. The
 /// pivot starts at 0 in every chunk, so a chunk's samples never depend on
 /// which thread ran the chunk before it.
 struct SpareScratch {
-  explicit SpareScratch(std::size_t k) : u(k) { below.reserve(k); }
-  std::vector<double> u;      ///< the trial's uniforms (fallback: t_i^β)
-  std::vector<double> below;  ///< computed t_i^β below the pivot
+  explicit SpareScratch(std::size_t k)
+      : u(k), approx(k), index(k), sel0(k), sel1(k), sel2(k) {}
+  std::vector<double> u;           ///< the trial's uniforms
+  std::vector<double> approx;      ///< a_i, kern's t_i^β approximations
+  std::vector<std::size_t> index;  ///< PEs with a_i below the pivot
+  std::vector<double> sel0;        ///< selection buffers (select_rank)
+  std::vector<double> sel1;
+  std::vector<double> sel2;
   double pivot = 0.0;
-  std::int64_t full_scans = 0;  ///< trials that computed every t_i^β
+  std::int64_t full_scans = 0;  ///< trials that selected over every PE
+  std::int64_t exact_logs = 0;  ///< std::log1p calls
 };
 
-// Cost only, never the result: a higher pivot falls back to the full
-// path less often but lets more PEs through to log1p. At 1.5 about 6% of
-// the degrade-long trials (tolerance 29) fall back, 40% at spares 0.
+// Cost only, never the result: a higher pivot misses less often but
+// leaves more approximations to select from.
 constexpr double kPivotFactor = 1.5;
-// −log1p(−u) ≥ u + u²/2, so c·u·(1 + u/2) bounds c·(−log1p(−u)) from
-// below; the margin absorbs the few-ulp rounding of log1p and of the
-// products on either side (DESIGN.md §14.6).
-constexpr double kBoundMargin = 1.0 - 0x1p-40;
-// Pivots outside [DBL_MIN, DBL_MAX/2] take the full path: subnormal
-// products lose the relative-error bound, and an overflowed bound must
-// still imply t_i^β ≥ P.
-constexpr double kMinPivot = std::numeric_limits<double>::min();
-constexpr double kMaxPivot = std::numeric_limits<double>::max() / 2.0;
+// |a_i − t_i| ≤ δ·t_i with δ = 2⁻⁴⁰ for kern's approximation a_i of the
+// exact t_i (tests/kern_test.cpp observes ≤ δ/256). The cuts A·(1 ∓ 4δ)
+// around the selected approximation A then separate the PEs certainly
+// below and certainly above the exact order statistic (DESIGN.md §14.6).
+constexpr double kCutBelow = 1.0 - 0x1p-38;
+constexpr double kCutAbove = 1.0 + 0x1p-38;
+// The certificate needs A and its bracket far from the subnormal and
+// overflow ranges; other trials take the exact path.
+constexpr double kMinSelect = 0x1p-1000;
+constexpr double kMaxSelect = 0x1p1000;
 
 /// One with-spares trial: per-PE failure times in the β-power domain
 /// (t_i^β = (η/α_i)^β·(−ln(1−U_i)); the power is monotone, so order
 /// statistics commute with it), then the (spares+1)-th smallest is the
 /// device failure. All uniforms are drawn first, so the RNG stream does
-/// not depend on the path taken. With a pivot P, a PE whose lower bound
-/// reaches P cannot rank below P and skips its log1p; the order statistic
-/// is selected among the computed values below P. When fewer than
-/// spares+1 fall below P, every value is computed. Both paths select the
-/// same value (DESIGN.md §14.6).
+/// not depend on the path taken. kern::weibull_powers approximates every
+/// t_i; the (spares+1)-th smallest approximation A is selected among
+/// those below the pivot, or among all of them when the pivot misses.
+/// Only PEs whose bracket overlaps A's get an exact log1p, and the
+/// order statistic among them, offset by the PEs certainly below, is
+/// the exact one (DESIGN.md §14.6).
 double sample_spare_failure(const FailureSampler& s, SpareScratch& scratch,
                             std::int64_t spares, util::SplitMix64& rng) {
   const std::size_t k = s.c_pow.size();
-  std::vector<double>& u = scratch.u;
-  for (std::size_t i = 0; i < k; ++i) u[i] = rng.next_double();
+  const double* c_pow = s.c_pow.data();
+  double* u = scratch.u.data();
+  double* approx = scratch.approx.data();
+  std::size_t* index = scratch.index.data();
+  double* sel0 = scratch.sel0.data();
+  const auto select = [&](std::size_t n, std::size_t r) {
+    return select_rank(sel0, scratch.sel1.data(), scratch.sel2.data(), n, r);
+  };
+  const auto exact_t = [&](std::size_t i) {
+    return c_pow[i] * -std::log1p(-u[i]);
+  };
   const auto rank = static_cast<std::size_t>(spares);
+  for (std::size_t i = 0; i < k; ++i) u[i] = rng.next_double();
+  kern::weibull_powers(u, c_pow, approx, k);
+
+  // Branch-free compaction of the approximations below the pivot. Every
+  // excluded a_i ≥ pivot, so when the pivot also clears A's upper cut
+  // the excluded PEs are certainly above the order statistic.
   const double pivot = scratch.pivot;
-  // nth_element's *value* at the nth slot is the sorted nth value — unique
-  // even under ties — so the sample is implementation-independent.
-  double nth = 0.0;
-  std::vector<double>& below = scratch.below;
-  below.clear();
-  if (pivot >= kMinPivot && pivot <= kMaxPivot) {
-    for (std::size_t i = 0; i < k; ++i) {
-      const double ui = u[i];
-      if (s.c_pow[i] * ui * (1.0 + 0.5 * ui) * kBoundMargin >= pivot) continue;
-      const double t_pow = s.c_pow[i] * -std::log1p(-ui);
-      if (t_pow < pivot) below.push_back(t_pow);
-    }
+  std::size_t n = 0;
+  for (std::size_t i = 0; i < k; ++i) {
+    sel0[n] = approx[i];
+    index[n] = i;
+    n += static_cast<std::size_t>(approx[i] < pivot);
   }
-  if (below.size() > rank) {
-    const auto it = below.begin() + static_cast<std::ptrdiff_t>(rank);
-    std::nth_element(below.begin(), it, below.end());
-    nth = *it;
-  } else {
+  double sel = 0.0;
+  bool filtered = n > rank;
+  if (filtered) {
+    sel = select(n, rank);
+    filtered = pivot > sel * kCutAbove;
+  }
+  if (!filtered) {
     ++scratch.full_scans;
-    for (std::size_t i = 0; i < k; ++i)
-      u[i] = s.c_pow[i] * -std::log1p(-u[i]);
-    const auto it = u.begin() + static_cast<std::ptrdiff_t>(rank);
-    std::nth_element(u.begin(), it, u.end());
-    nth = *it;
+    std::copy(approx, approx + k, sel0);
+    sel = select(k, rank);
   }
-  scratch.pivot = kPivotFactor * nth;
-  return kern::pow1(nth, s.p);
+
+  double sample = 0.0;
+  if (sel >= kMinSelect && sel <= kMaxSelect) {
+    // Exact values only where the brackets overlap; `certain` PEs lie
+    // certainly below the order statistic.
+    const double below = sel * kCutBelow;
+    const double above = sel * kCutAbove;
+    std::size_t certain = 0;
+    std::size_t m = 0;
+    for (std::size_t j = 0, end = filtered ? n : k; j < end; ++j) {
+      const std::size_t i = filtered ? index[j] : j;
+      const double a = approx[i];
+      certain += static_cast<std::size_t>(a < below);
+      if (a >= below && a <= above) sel0[m++] = exact_t(i);
+    }
+    ROTA_ENSURE(certain <= rank && rank - certain < m,
+                "spare order-statistic bracket lost the sample");
+    scratch.exact_logs += static_cast<std::int64_t>(m);
+    sample = select(m, rank - certain);
+  } else {
+    // A outside the certified range: every exact value, as before.
+    if (filtered) ++scratch.full_scans;
+    for (std::size_t i = 0; i < k; ++i) sel0[i] = exact_t(i);
+    scratch.exact_logs += static_cast<std::int64_t>(k);
+    sample = select(k, rank);
+  }
+  scratch.pivot = kPivotFactor * sample;
+  return kern::pow1(sample, s.p);
 }
 
 }  // namespace
@@ -200,6 +281,7 @@ MonteCarloResult monte_carlo_spare_mttf(const std::vector<double>& alphas,
     double sum = 0.0;
     double sum_sq = 0.0;
     std::int64_t full_scans = 0;
+    std::int64_t exact_logs = 0;
   };
   const std::int64_t chunks = util::ceil_div(trials, kMonteCarloChunkTrials);
   const Moments total = par::parallel_reduce<Moments>(
@@ -216,16 +298,20 @@ MonteCarloResult monte_carlo_spare_mttf(const std::vector<double>& alphas,
           m.sum_sq += sample * sample;
         }
         m.full_scans = scratch.full_scans;
+        m.exact_logs = scratch.exact_logs;
         return m;
       },
       [](Moments acc, Moments m) {
         acc.sum += m.sum;
         acc.sum_sq += m.sum_sq;
         acc.full_scans += m.full_scans;
+        acc.exact_logs += m.exact_logs;
         return acc;
       });
   report_batch("mc.spare_mttf", trials, t0);
-  obs::MetricsRegistry::global().add("mc.spare_full_scans", total.full_scans);
+  auto& reg = obs::MetricsRegistry::global();
+  reg.add("mc.spare_full_scans", total.full_scans);
+  reg.add("mc.spare_exact_logs", total.exact_logs);
 
   MonteCarloResult res;
   res.trials = trials;

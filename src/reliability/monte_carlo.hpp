@@ -52,9 +52,11 @@ struct MonteCarloResult {
 /// per-PE Weibull failure times. Rides the same chunked-substream
 /// determinism contract as monte_carlo_mttf (bit-identical at any thread
 /// count); the test suite cross-checks it against spare_array_mttf within
-/// sampling error. Each trial skips the log of every PE whose lower bound
-/// rules it out of the order statistic (DESIGN.md §14.6); the counter
-/// `mc.spare_full_scans` counts the trials that computed every PE.
+/// sampling error. Each trial ranks kern approximations of the per-PE
+/// times and computes the exact log1p only for the PEs whose error
+/// bracket overlaps the selected one's (DESIGN.md §14.6); the counters
+/// `mc.spare_full_scans` (trials that selected over every PE) and
+/// `mc.spare_exact_logs` (log1p calls) track the cost.
 /// \pre spares >= 0 and fewer than the active PE count.
 [[nodiscard]] MonteCarloResult monte_carlo_spare_mttf(
     const std::vector<double>& alphas, std::int64_t spares,

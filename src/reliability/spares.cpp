@@ -4,6 +4,7 @@
 #include <cmath>
 #include <functional>
 
+#include "kern/kern.hpp"
 #include "util/check.hpp"
 
 namespace rota::rel {
@@ -27,13 +28,16 @@ void validate_inputs(const std::vector<double>& alphas, std::int64_t spares,
 /// repeat values, so the positive activities are grouped once into sorted
 /// distinct levels and each evaluation computes one Weibull CDF per level.
 /// The Poisson-binomial DP still visits the PEs in input order, reading
-/// each PE's level, so every operation — and therefore every bit — matches
-/// a per-PE evaluation (DESIGN.md §14.6).
+/// each PE's level, in kern::poisson_binomial_x4 with one evaluation point
+/// per lane, so every operation — and therefore every bit — matches a
+/// per-PE evaluation on either ISA (DESIGN.md §14.6).
 class SpareReliability {
  public:
+  static constexpr std::size_t kLanes = 4;
+
   SpareReliability(const std::vector<double>& alphas, std::int64_t spares,
                    double beta, double eta)
-      : beta_(beta), eta_(eta), dp_(static_cast<std::size_t>(spares) + 1) {
+      : beta_(beta), eta_(eta) {
     levels_.reserve(alphas.size());
     for (double a : alphas)
       if (a > 0.0) levels_.push_back(a);  // inactive PEs cannot fail
@@ -45,42 +49,58 @@ class SpareReliability {
       const auto it = std::lower_bound(levels_.begin(), levels_.end(), a);
       level_of_.push_back(static_cast<std::size_t>(it - levels_.begin()));
     }
-    p_fail_.resize(levels_.size());
+    p_fail_.resize(kLanes * levels_.size());
+    // dp[k] stays +0 for k above the active PE count and adding +0 to the
+    // sum changes no bit, so the recurrence stops there: a pool larger
+    // than the array costs no more than one spare per active PE.
+    const std::size_t cap =
+        std::min(static_cast<std::size_t>(spares), level_of_.size()) + 1;
+    dp_.resize(kLanes * cap);
   }
 
   [[nodiscard]] double max_activity() const {
     return levels_.empty() ? 0.0 : levels_.back();
   }
 
+  /// R_s at one point: every lane evaluates t.
   [[nodiscard]] double at(double t) {
     for (std::size_t l = 0; l < levels_.size(); ++l)
-      p_fail_[l] = 1.0 - std::exp(-std::pow(t * levels_[l] / eta_, beta_));
-    // Poisson-binomial recurrence truncated at `spares` failures: dp[k] is
-    // the probability of exactly k failures among the PEs processed so far.
-    std::fill(dp_.begin(), dp_.end(), 0.0);
-    dp_[0] = 1.0;
-    const std::size_t cap = dp_.size();
-    double* dp = dp_.data();
-    for (std::size_t level : level_of_) {
-      const double p_fail = p_fail_[level];
-      for (std::size_t k = cap; k-- > 0;) {
-        const double survive = dp[k] * (1.0 - p_fail);
-        const double fail_in = (k > 0) ? dp[k - 1] * p_fail : 0.0;
-        dp[k] = survive + fail_in;
-      }
-    }
-    double r = 0.0;
-    for (double p : dp_) r += p;
-    return std::min(1.0, r);
+      std::fill_n(p_fail_.begin() + static_cast<std::ptrdiff_t>(kLanes * l),
+                  kLanes, cdf(t, l));
+    double r[kLanes];
+    run_dp(r);
+    return r[0];
+  }
+
+  /// R_s at four points, one per lane.
+  void at_x4(const double* t, double* r) {
+    for (std::size_t l = 0; l < levels_.size(); ++l)
+      for (std::size_t j = 0; j < kLanes; ++j)
+        p_fail_[kLanes * l + j] = cdf(t[j], l);
+    run_dp(r);
   }
 
  private:
+  /// F(t) = 1 − exp(−(t·α/η)^β) of one activity level (scalar glibc).
+  [[nodiscard]] double cdf(double t, std::size_t level) const {
+    return 1.0 - std::exp(-std::pow(t * levels_[level] / eta_, beta_));
+  }
+
+  /// Poisson-binomial recurrence truncated at `spares` failures, then
+  /// P(at most `spares` failures) per lane.
+  void run_dp(double* r) {
+    kern::poisson_binomial_x4(p_fail_.data(), level_of_.data(),
+                              level_of_.size(), dp_.size() / kLanes,
+                              dp_.data(), r);
+    for (std::size_t j = 0; j < kLanes; ++j) r[j] = std::min(1.0, r[j]);
+  }
+
   double beta_;
   double eta_;
   std::vector<double> levels_;         ///< distinct positive α, ascending
   std::vector<std::size_t> level_of_;  ///< per active PE, input order
-  std::vector<double> p_fail_;         ///< scratch: F(t) per level
-  std::vector<double> dp_;             ///< scratch: spares + 1 entries
+  std::vector<double> p_fail_;         ///< scratch: F(t) per level and lane
+  std::vector<double> dp_;             ///< scratch: 4 lanes per dp slot
 };
 
 }  // namespace
@@ -118,15 +138,22 @@ double spare_array_mttf(const std::vector<double>& alphas,
     ROTA_ENSURE(horizon < 1e9 * eta / a_kth,
                 "spare-array reliability does not decay");
   }
+  // Nodes are evaluated four at a time and summed in node order.
   constexpr int kSteps = 2048;
+  constexpr int kLanes = static_cast<int>(SpareReliability::kLanes);
+  static_assert(kSteps % kLanes == 0);
   const double dt = horizon / kSteps;
   double integral = 0.0;
   double prev = 1.0;  // R(0)
-  for (int i = 1; i <= kSteps; ++i) {
-    const double t = dt * i;
-    const double cur = reliability.at(t);
-    integral += 0.5 * (prev + cur) * dt;
-    prev = cur;
+  for (int i = 1; i <= kSteps; i += kLanes) {
+    double t[kLanes];
+    double cur[kLanes];
+    for (int j = 0; j < kLanes; ++j) t[j] = dt * (i + j);
+    reliability.at_x4(t, cur);
+    for (const double c : cur) {
+      integral += 0.5 * (prev + c) * dt;
+      prev = c;
+    }
   }
   return integral;
 }

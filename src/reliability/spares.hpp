@@ -18,7 +18,8 @@
 /// failure probabilities F_ij(t) = 1 − exp(−(t·α_ij/η)^β), and the MTTF
 /// via numeric integration of R_s(t). F depends on a PE only through α,
 /// so each evaluation computes it once per distinct activity level and
-/// runs the recurrence over the PEs in input order — bit-identical to a
+/// runs the recurrence over the PEs in input order, four integration
+/// nodes at a time in kern::poisson_binomial_x4 — bit-identical to a
 /// per-PE evaluation (DESIGN.md §14.6). The abl_spares bench uses it to
 /// show how wear-leveling and sparing compose.
 

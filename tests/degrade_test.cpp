@@ -582,6 +582,19 @@ TEST(DegradeCli, RetirementExitsWithCode5) {
   EXPECT_NE(out.find("retire"), std::string::npos);
 }
 
+TEST(DegradeCli, PoolLargerThanTheActivePesCapsTheResidualTolerance) {
+  // Baseline leaves part of the array idle under Llama-2 7B, so 149 free
+  // spares plus the retirement budget exceed the active PEs: the residual
+  // MTTF must cap the tolerance at the active count minus one, not at the
+  // live-set size (which threw a precondition error, exit 2).
+  cli::clear_interrupt();
+  auto [rc, out] = run_cli({"degrade", "LM", "--iters", "50", "--spares",
+                            "150", "--policy", "Baseline", "--fault",
+                            "pe=0,0@10"});
+  EXPECT_EQ(rc, 0);
+  EXPECT_NE(out.find("residual (tolerance 191)"), std::string::npos) << out;
+}
+
 TEST(DegradeCli, InjectReschedRoutesThroughTheDegradeEngine) {
   cli::clear_interrupt();
   auto [rc, out] = run_cli({"inject", "AN", "--iters", "48", "--spares", "1",

@@ -194,6 +194,89 @@ TEST(KernBatch, WeibullMinZeroDrawGivesZeroSample) {
   EXPECT_EQ(rota::kern::pow1(m, 0.5), 0.0);
 }
 
+TEST(KernBatch, WeibullPowersAreWeibullMinsElements) {
+  rota::util::SplitMix64 rng(0x706f7773);
+  const std::size_t n = 61;
+  std::vector<double> u(n);
+  std::vector<double> c_pow(n);
+  std::vector<double> out(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    u[i] = rng.next_double();
+    c_pow[i] = 0.25 + rng.next_double() * 8.0;
+  }
+  rota::kern::weibull_powers(u.data(), c_pow.data(), out.data(), n);
+  double least = kInf;
+  for (std::size_t i = 0; i < n; ++i) least = std::min(least, out[i]);
+  EXPECT_EQ(bits_of(least),
+            bits_of(rota::kern::weibull_min(u.data(), c_pow.data(), n)));
+}
+
+TEST(KernBatch, WeibullPowersStayWithinTheBracketOfLog1p) {
+  // rel::monte_carlo_spare_mttf certifies its order statistic with a
+  // bracket of relative half-width δ = 2^-40 around each approximation
+  // of c·(−log1p(−u)) (DESIGN.md §14.6). Hold the observed gap 256×
+  // inside it, over the sampler's own u grid (multiples of 2^-53) and
+  // the reduction's edges.
+  constexpr double kDelta = 0x1p-40;
+  const double sqrt_half = std::sqrt(0.5);
+  std::vector<double> u = {0.0,
+                           0x1p-53,
+                           std::nextafter(sqrt_half, 0.0),
+                           sqrt_half,
+                           std::nextafter(sqrt_half, 1.0),
+                           1.0 - sqrt_half,
+                           0.5,
+                           1.0 - 0x1p-53};
+  rota::util::SplitMix64 rng(0x6c6f6731);
+  for (int i = 0; i < 1'000'000; ++i) u.push_back(rng.next_double());
+  std::vector<double> out(u.size());
+  double worst = 0.0;
+  for (const double c : {1.0, 0.3, 7.7e-5, 1.9e12}) {
+    const std::vector<double> c_pow(u.size(), c);
+    rota::kern::weibull_powers(u.data(), c_pow.data(), out.data(), u.size());
+    for (std::size_t i = 0; i < u.size(); ++i) {
+      const double exact = c * -std::log1p(-u[i]);
+      worst = std::max(worst, rel_err(out[i], exact));
+    }
+  }
+  EXPECT_LE(worst, kDelta / 256) << "worst relative gap " << worst;
+}
+
+TEST(KernBatch, PoissonBinomialX4MatchesTheOnePointLoop) {
+  // Each lane must reproduce the plain one-point recurrence bit for bit.
+  rota::util::SplitMix64 rng(0x70626e34);
+  const std::size_t levels = 9;
+  std::vector<double> p_fail(4 * levels);
+  for (auto& p : p_fail) p = rng.next_double();
+  p_fail[0] = 0.0;  // certain survival and certain failure
+  p_fail[5] = 1.0;
+  std::vector<std::size_t> level_of(37);
+  for (auto& l : level_of) l = rng.next_below(levels);
+  for (const std::size_t cap : {std::size_t{1}, std::size_t{3},
+                                std::size_t{30}, std::size_t{40}}) {
+    std::vector<double> dp(4 * cap);
+    double sums[4];
+    rota::kern::poisson_binomial_x4(p_fail.data(), level_of.data(),
+                                    level_of.size(), cap, dp.data(), sums);
+    for (std::size_t lane = 0; lane < 4; ++lane) {
+      std::vector<double> ref(cap, 0.0);
+      ref[0] = 1.0;
+      for (const std::size_t l : level_of) {
+        const double p = p_fail[4 * l + lane];
+        for (std::size_t k = cap; k-- > 0;) {
+          const double survive = ref[k] * (1.0 - p);
+          const double fail_in = (k > 0) ? ref[k - 1] * p : 0.0;
+          ref[k] = survive + fail_in;
+        }
+      }
+      double want = 0.0;
+      for (const double v : ref) want += v;
+      EXPECT_EQ(bits_of(sums[lane]), bits_of(want))
+          << "cap " << cap << " lane " << lane;
+    }
+  }
+}
+
 TEST(KernBatch, EmptyBatches) {
   EXPECT_EQ(rota::kern::sum_pow(nullptr, 1.0, 0), 0.0);
   EXPECT_EQ(rota::kern::sum_exp_affine(nullptr, nullptr, 1.0, 0), 0.0);
@@ -350,6 +433,70 @@ TEST_F(KernBitIdentity, WeibullMinSweep) {
       expect_same_bits(
           [&] { return rota::kern::weibull_min(u.data(), c_pow.data(), n); },
           "weibull_min");
+    }
+  }
+}
+
+TEST_F(KernBitIdentity, WeibullPowersSweep) {
+  rota::util::SplitMix64 rng(0x62697436);
+  const double scales[] = {1e-300, 1e-8, 1.0, 7.7, 1e12,
+                           std::numeric_limits<double>::max()};
+  for (const double scale : scales) {
+    for (const std::size_t n : {std::size_t{1}, std::size_t{3},
+                                std::size_t{4}, std::size_t{7},
+                                std::size_t{164}}) {
+      std::vector<double> u(n);
+      std::vector<double> c_pow(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::uint64_t kind = rng.next_below(16);
+        u[i] = kind == 0 ? 0.0 : kind == 1 ? 1.0 - 0x1p-53 : rng.next_double();
+        c_pow[i] = std::min(scale * (0.5 + rng.next_double()),
+                            std::numeric_limits<double>::max());
+      }
+      std::vector<double> scalar_out(n);
+      std::vector<double> avx2_out(n);
+      {
+        const IsaGuard guard(Isa::kScalar);
+        rota::kern::weibull_powers(u.data(), c_pow.data(), scalar_out.data(),
+                                   n);
+      }
+      {
+        const IsaGuard guard(Isa::kAvx2);
+        rota::kern::weibull_powers(u.data(), c_pow.data(), avx2_out.data(), n);
+      }
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(bits_of(scalar_out[i]), bits_of(avx2_out[i]))
+            << "scale " << scale << " n " << n << " element " << i;
+      }
+    }
+  }
+}
+
+TEST_F(KernBitIdentity, PoissonBinomialX4Sweep) {
+  rota::util::SplitMix64 rng(0x62697437);
+  for (int rep = 0; rep < 12; ++rep) {
+    const std::size_t levels = 1 + rng.next_below(40);
+    const std::size_t n = rng.next_below(170);
+    const std::size_t cap = 1 + rng.next_below(48);
+    std::vector<double> p_fail(4 * levels);
+    for (auto& p : p_fail) {
+      // Include exact 0/1 and denormal probabilities.
+      const std::uint64_t kind = rng.next_below(10);
+      p = kind == 0 ? 0.0 : kind == 1 ? 1.0 : kind == 2 ? 1e-310
+                                                         : rng.next_double();
+    }
+    std::vector<std::size_t> level_of(n);
+    for (auto& l : level_of) l = rng.next_below(levels);
+    for (std::size_t lane = 0; lane < 4; ++lane) {
+      expect_same_bits(
+          [&] {
+            std::vector<double> dp(4 * cap);
+            double sums[4];
+            rota::kern::poisson_binomial_x4(p_fail.data(), level_of.data(), n,
+                                            cap, dp.data(), sums);
+            return sums[lane];
+          },
+          "poisson_binomial_x4");
     }
   }
 }

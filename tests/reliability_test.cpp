@@ -390,6 +390,18 @@ TEST(Spares, ToleranceBeyondTheActivitySpreadStillDecays) {
   EXPECT_NEAR(wide / narrow, 100.0, 1e-6 * 100.0);
 }
 
+TEST(Spares, PoolLargerThanTheArrayNeedsNoLargerScratch) {
+  // The recurrence never counts more failures than active PEs, so a pool
+  // of 10^12 spares gives the bits of a pool of 2 instead of allocating
+  // 10^12 slots, and the MTTF rejects it before any node is evaluated.
+  constexpr std::int64_t kHuge = 1'000'000'000'000;
+  for (const double t : {0.3, 1.0, 2.5}) {
+    EXPECT_EQ(spare_array_reliability({1.0, 0.5}, t, kHuge),
+              spare_array_reliability({1.0, 0.5}, t, 2));
+  }
+  EXPECT_THROW((void)spare_array_mttf({1.0, 0.5}, kHuge), precondition_error);
+}
+
 TEST(Spares, RejectsInvalidArguments) {
   EXPECT_THROW((void)spare_array_reliability({1.0}, 1.0, -1), precondition_error);
   EXPECT_THROW((void)spare_array_reliability({}, 1.0, 0), precondition_error);
@@ -568,6 +580,25 @@ std::vector<Profile> bit_identity_profiles() {
   return out;
 }
 
+/// Every kernel ISA this binary can dispatch to on this CPU.
+std::vector<kern::Isa> available_isas() {
+  std::vector<kern::Isa> out = {kern::Isa::kScalar};
+  if (kern::avx2_available()) out.push_back(kern::Isa::kAvx2);
+  return out;
+}
+
+/// Run body once per available ISA, restoring the dispatch afterwards.
+template <class Body>
+void for_each_isa(const Body& body) {
+  const kern::Isa saved = kern::active_isa();
+  for (const kern::Isa isa : available_isas()) {
+    kern::force_isa(isa);
+    SCOPED_TRACE(std::string("isa=") + std::string(kern::isa_name(isa)));
+    body();
+  }
+  kern::force_isa(saved);
+}
+
 std::vector<std::int64_t> spare_counts(std::int64_t cap) {
   std::vector<std::int64_t> out;
   for (std::int64_t s : {std::int64_t{0}, std::int64_t{1}, std::int64_t{2},
@@ -577,39 +608,42 @@ std::vector<std::int64_t> spare_counts(std::int64_t cap) {
 }
 
 TEST(BitIdentity, SpareMttfMatchesPerPeClosedForm) {
+  const std::vector<Profile> profiles = bit_identity_profiles();
   std::int64_t rejected = 0;
-  for (const Profile& prof : bit_identity_profiles()) {
-    const auto n = static_cast<std::int64_t>(prof.alphas.size());
-    std::int64_t active = 0;
-    for (double a : prof.alphas) active += a > 0.0 ? 1 : 0;
-    for (const std::int64_t spares : spare_counts(n - 1)) {
-      for (const double beta : {3.4, 1.0, 0.7}) {
-        SCOPED_TRACE(prof.name + " spares=" + std::to_string(spares) +
-                     " beta=" + std::to_string(beta));
-        if (spares >= active) {
-          EXPECT_THROW(
-              (void)per_pe::spare_array_mttf(prof.alphas, spares, beta, 1.0),
-              util::precondition_error);
-          EXPECT_THROW((void)spare_array_mttf(prof.alphas, spares, beta),
-                       util::precondition_error);
-          ++rejected;
-        } else {
-          EXPECT_EQ(bits(per_pe::spare_array_mttf(prof.alphas, spares, beta,
-                                                  1.0)),
-                    bits(spare_array_mttf(prof.alphas, spares, beta)));
-        }
-        for (const double t : {0.0, 0.3, 1.0, 2.5}) {
-          EXPECT_EQ(bits(per_pe::spare_array_reliability(prof.alphas, t,
-                                                         spares, beta, 1.0)),
-                    bits(spare_array_reliability(prof.alphas, t, spares,
-                                                 beta)));
+  for_each_isa([&] {
+    for (const Profile& prof : profiles) {
+      const auto n = static_cast<std::int64_t>(prof.alphas.size());
+      std::int64_t active = 0;
+      for (double a : prof.alphas) active += a > 0.0 ? 1 : 0;
+      for (const std::int64_t spares : spare_counts(n - 1)) {
+        for (const double beta : {3.4, 1.0, 0.7}) {
+          SCOPED_TRACE(prof.name + " spares=" + std::to_string(spares) +
+                       " beta=" + std::to_string(beta));
+          if (spares >= active) {
+            EXPECT_THROW(
+                (void)per_pe::spare_array_mttf(prof.alphas, spares, beta, 1.0),
+                util::precondition_error);
+            EXPECT_THROW((void)spare_array_mttf(prof.alphas, spares, beta),
+                         util::precondition_error);
+            ++rejected;
+          } else {
+            EXPECT_EQ(bits(per_pe::spare_array_mttf(prof.alphas, spares, beta,
+                                                    1.0)),
+                      bits(spare_array_mttf(prof.alphas, spares, beta)));
+          }
+          for (const double t : {0.0, 0.3, 1.0, 2.5}) {
+            EXPECT_EQ(bits(per_pe::spare_array_reliability(prof.alphas, t,
+                                                           spares, beta, 1.0)),
+                      bits(spare_array_reliability(prof.alphas, t, spares,
+                                                   beta)));
+          }
         }
       }
     }
-  }
+  });
   // Only the zeros profile's full pool (47 spares, 36 active PEs) at each
   // beta exceeds the active count.
-  EXPECT_EQ(rejected, 3);
+  EXPECT_EQ(rejected, 3 * static_cast<std::int64_t>(available_isas().size()));
 }
 
 TEST(BitIdentity, SpareMonteCarloMatchesFullSort) {
@@ -628,22 +662,24 @@ TEST(BitIdentity, SpareMonteCarloMatchesFullSort) {
       for (const double beta : {3.4, 1.0, 0.7}) {
         const MonteCarloResult want = per_pe::monte_carlo_spare_mttf(
             prof.alphas, spares, beta, 1.0, kTrials, 0x5eed);
-        for (const int threads : {1, 3}) {
-          SCOPED_TRACE(prof.name + " spares=" + std::to_string(spares) +
-                       " beta=" + std::to_string(beta) +
-                       " threads=" + std::to_string(threads));
-          const std::int64_t before = reg.counter("mc.spare_full_scans");
-          const MonteCarloResult got = monte_carlo_spare_mttf(
-              prof.alphas, spares, beta, 1.0, kTrials, 0x5eed, threads);
-          const std::int64_t scans =
-              reg.counter("mc.spare_full_scans") - before;
-          EXPECT_EQ(bits(want.mttf), bits(got.mttf));
-          EXPECT_EQ(bits(want.stderr_), bits(got.stderr_));
-          // The first trial of every chunk has no pivot yet.
-          EXPECT_GE(scans, kChunks);
-          ++cases;
-          full_scans += scans;
-        }
+        for_each_isa([&] {
+          for (const int threads : {1, 3}) {
+            SCOPED_TRACE(prof.name + " spares=" + std::to_string(spares) +
+                         " beta=" + std::to_string(beta) +
+                         " threads=" + std::to_string(threads));
+            const std::int64_t before = reg.counter("mc.spare_full_scans");
+            const MonteCarloResult got = monte_carlo_spare_mttf(
+                prof.alphas, spares, beta, 1.0, kTrials, 0x5eed, threads);
+            const std::int64_t scans =
+                reg.counter("mc.spare_full_scans") - before;
+            EXPECT_EQ(bits(want.mttf), bits(got.mttf));
+            EXPECT_EQ(bits(want.stderr_), bits(got.stderr_));
+            // The first trial of every chunk has no pivot yet.
+            EXPECT_GE(scans, kChunks);
+            ++cases;
+            full_scans += scans;
+          }
+        });
       }
     }
   }
@@ -651,6 +687,27 @@ TEST(BitIdentity, SpareMonteCarloMatchesFullSort) {
   // The pivot path carried most trials; the comparison above is not all
   // fallback.
   EXPECT_LT(full_scans, cases * kTrials / 2);
+}
+
+TEST(SpareMonteCarlo, CertifiedBracketKeepsExactLogsPerTrialLow) {
+  // The sampler ranks kern approximations and calls std::log1p only for
+  // the PEs whose bracket overlaps the selected one — about one per
+  // trial on the degrade live set. A slide back to per-PE logs fails.
+  auto& reg = obs::MetricsRegistry::global();
+  const bool was_enabled = reg.enabled();
+  reg.set_enabled(true);
+  const std::vector<double> live = alexnet_degraded_live_alphas();
+  constexpr std::int64_t kTrials = 2 * kMonteCarloChunkTrials;
+  for (const std::int64_t spares : {std::int64_t{29}, std::int64_t{0}}) {
+    SCOPED_TRACE("spares=" + std::to_string(spares));
+    const std::int64_t before = reg.counter("mc.spare_exact_logs");
+    (void)monte_carlo_spare_mttf(live, spares, kJedecShape, 1.0, kTrials, 7,
+                                 1);
+    const std::int64_t logs = reg.counter("mc.spare_exact_logs") - before;
+    EXPECT_GE(logs, kTrials);
+    EXPECT_LE(logs, 2 * kTrials);
+  }
+  reg.set_enabled(was_enabled);
 }
 
 // -------------------------------------------------------- spare remapper ----
