@@ -482,22 +482,19 @@ int cmd_degrade(const Options& opt, std::ostream& out) {
   table.add_row({"throughput derating",
                  util::fmt_pct(report.throughput_derating, 2)});
   out << table.str();
-  out << "MTTF, fault-free profile: " << util::fmt(report.mttf_initial, 4)
+  out << "MTTF, fault-free profile: " << util::fmt_sig(report.mttf_initial)
       << "  residual (tolerance " << report.mttf_tolerance
-      << "): " << util::fmt(report.mttf_final, 4) << '\n';
+      << "): " << util::fmt_sig(report.mttf_final) << '\n';
 
   if (opt.mc_trials > 0 && report.mttf_final > 0.0) {
     // Cross-check the closed-form residual MTTF against the with-spares
-    // Monte-Carlo estimator on the same live set and tolerance.
-    std::int64_t active = 0;
-    for (const double a : report.live_alphas) active += a > 0.0 ? 1 : 0;
-    if (report.mttf_tolerance < active) {
-      const rel::MonteCarloResult mc = rel::monte_carlo_spare_mttf(
-          report.live_alphas, report.mttf_tolerance, rel::kJedecShape, 1.0,
-          opt.mc_trials, opt.seed, threads_of(opt));
-      out << "MC cross-check: " << util::fmt(mc.mttf, 4) << " (stderr "
-          << util::fmt(mc.stderr_, 6) << ", " << mc.trials << " trials)\n";
-    }
+    // Monte-Carlo estimator on the same live set and tolerance (capped
+    // below the active PE count, as the estimator requires).
+    const rel::MonteCarloResult mc = rel::monte_carlo_spare_mttf(
+        report.live_alphas, report.mttf_tolerance, rel::kJedecShape, 1.0,
+        opt.mc_trials, opt.seed, threads_of(opt));
+    out << "MC cross-check: " << util::fmt_sig(mc.mttf) << " (stderr "
+        << util::fmt_sig(mc.stderr_) << ", " << mc.trials << " trials)\n";
   }
 
   if (!opt.csv_out_path.empty()) {

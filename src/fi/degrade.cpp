@@ -38,16 +38,26 @@ std::string pe_name(std::int64_t u, std::int64_t v) {
   return out.str();
 }
 
-/// spare_array_mttf guarded against degenerate inputs: a dead or inactive
-/// live set has no remaining lifetime, and the tolerance is capped below
+/// The tolerance a spare MTTF of `alphas` is evaluated at: capped below
 /// the number of active PEs (idle PEs never fail, so tolerating every
-/// active one would make the MTTF infinite).
-double guarded_spare_mttf(const std::vector<double>& alphas,
-                          std::int64_t tolerance, double beta) {
+/// active one would make the MTTF infinite); 0 when none is active.
+std::int64_t capped_tolerance(const std::vector<double>& alphas,
+                              std::int64_t tolerance) {
   std::int64_t active = 0;
   for (const double a : alphas) active += a > 0.0 ? 1 : 0;
-  if (active == 0) return 0.0;
-  return rel::spare_array_mttf(alphas, std::min(tolerance, active - 1), beta);
+  return std::max<std::int64_t>(0, std::min(tolerance, active - 1));
+}
+
+/// spare_array_mttf at the capped tolerance, guarded against degenerate
+/// inputs: a dead or inactive live set has no remaining lifetime.
+double guarded_spare_mttf(const std::vector<double>& alphas,
+                          std::int64_t tolerance, double beta) {
+  if (std::none_of(alphas.begin(), alphas.end(),
+                   [](double a) { return a > 0.0; })) {
+    return 0.0;
+  }
+  return rel::spare_array_mttf(alphas, capped_tolerance(alphas, tolerance),
+                               beta);
 }
 
 /// One scheduled boundary action: a declared fault, a resolved weibull
@@ -634,7 +644,8 @@ DegradeReport run_degraded_lifetime(const arch::AcceleratorConfig& config,
                                  static_cast<double>(
                                      std::max<std::int64_t>(1, it)));
   }
-  report.mttf_tolerance = remapper.spares_free() + report.retire_budget;
+  report.mttf_tolerance = capped_tolerance(
+      report.live_alphas, remapper.spares_free() + report.retire_budget);
   if (report.retired ||
       (!aware && report.first_unspared_at >= 0)) {
     // Retired, or fail-stop service already ended: no correct service

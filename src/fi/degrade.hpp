@@ -104,8 +104,9 @@ struct DegradeReport {
   double mttf_final = 0.0;
   /// Observed per-iteration wear rates of the surviving live set (live
   /// primaries plus in-service spares) and the residual tolerance used
-  /// for mttf_final — the exact inputs for a monte_carlo_spare_mttf
-  /// cross-check.
+  /// for mttf_final — free spares plus retire_budget, capped below the
+  /// live set's active PE count — the exact inputs for a
+  /// monte_carlo_spare_mttf cross-check.
   std::vector<double> live_alphas;
   std::int64_t mttf_tolerance = 0;
   rel::SpareRemapper::Stats spare_stats;

@@ -10,23 +10,45 @@ namespace rota::sched {
 
 using util::ceil_div;
 
+LayerBounds LayerBounds::of(const nn::LayerSpec& layer) {
+  LayerBounds b;
+  b.n = layer.batch;
+  b.k = layer.out_channels;
+  b.cg = layer.channels_per_group();
+  b.g = layer.groups;
+  b.p = layer.out_h();
+  b.q = layer.out_w();
+  b.r = layer.kernel_h;
+  b.s = layer.kernel_w;
+  b.stride_h = layer.stride_h;
+  b.stride_w = layer.stride_w;
+  b.in_h = layer.in_h;
+  b.in_w = layer.in_w;
+  b.macs = layer.macs();
+  return b;
+}
+
 CostModel::CostModel(arch::AcceleratorConfig cfg, arch::EnergyModel energy)
     : cfg_(std::move(cfg)), energy_(energy) {
   cfg_.validate();
+  lb_input_words_ = cfg_.lb_input_words();
+  lb_weight_words_ = cfg_.lb_weight_words();
+  lb_output_words_ = cfg_.lb_output_words();
+  glb_words_ = cfg_.glb_words();
 }
 
-CostResult CostModel::evaluate(const nn::LayerSpec& layer,
+CostResult CostModel::evaluate(const LayerBounds& layer,
                                const Mapping& m) const {
   CostResult res;
 
-  const std::int64_t n = layer.batch;
-  const std::int64_t k = layer.out_channels;
-  const std::int64_t cg = layer.channels_per_group();
-  const std::int64_t g = layer.groups;
-  const std::int64_t p = layer.out_h();
-  const std::int64_t q = layer.out_w();
-  const std::int64_t r = layer.kernel_h;
-  const std::int64_t s = layer.kernel_w;
+  const std::int64_t n = layer.n;
+  const std::int64_t k = layer.k;
+  const std::int64_t cg = layer.cg;
+  const std::int64_t g = layer.g;
+  const std::int64_t p = layer.p;
+  const std::int64_t q = layer.q;
+  const std::int64_t r = layer.r;
+  const std::int64_t s = layer.s;
 
   // ---- Feasibility ------------------------------------------------------
   if (m.sx < 1 || m.sx > cfg_.array_width) return res;
@@ -42,9 +64,9 @@ CostResult CostModel::evaluate(const nn::LayerSpec& layer,
   // window of lb_s filter-column taps per resident input channel; the
   // weight buffer holds one output channel's lb_c×R×lb_s filter slice;
   // the output buffer holds the lb_q partial sums a PE owns.
-  if (m.lb_c * r * m.lb_s > cfg_.lb_weight_words()) return res;
-  if (m.lb_c * m.lb_s > cfg_.lb_input_words()) return res;
-  if (m.lb_q > cfg_.lb_output_words()) return res;
+  if (m.lb_c * r * m.lb_s > lb_weight_words_) return res;
+  if (m.lb_c * m.lb_s > lb_input_words_) return res;
+  if (m.lb_q > lb_output_words_) return res;
 
   // ---- Loop tiling ------------------------------------------------------
   const std::int64_t k_cov = (m.dim_x == SpatialX::kOutChannels) ? m.sx : 1;
@@ -87,11 +109,11 @@ CostResult CostModel::evaluate(const nn::LayerSpec& layer,
   const std::int64_t out_disp = k_cov * p_cov * q_cov;
 
   // GLB must double-buffer one dispatch working set.
-  if (2 * (in_disp + w_disp + out_disp) > cfg_.glb_words()) return res;
+  if (2 * (in_disp + w_disp + out_disp) > glb_words_) return res;
 
   // ---- Access counts ------------------------------------------------------
   arch::AccessCounts& acc = res.accesses;
-  acc.macs = layer.macs();
+  acc.macs = layer.macs;
   // Each MAC reads an input and a weight and updates a partial sum in the
   // PE-local buffers.
   acc.lb_accesses = 3 * acc.macs;
@@ -104,7 +126,7 @@ CostResult CostModel::evaluate(const nn::LayerSpec& layer,
   acc.glb_accesses += out_padded * (2 * red_steps - 1);
 
   // ---- DRAM traffic: best of two outer-loop orders ------------------------
-  const std::int64_t glb_share = cfg_.glb_words() / 2;
+  const std::int64_t glb_share = glb_words_ / 2;
   const std::int64_t weight_padded = k_pad * cg_pad * r * s_pad;
   const std::int64_t input_total = n * g * cg_pad * layer.in_h * layer.in_w;
   const std::int64_t in_cols_pass = (q_cov - 1) * layer.stride_w + s;
@@ -143,7 +165,7 @@ CostResult CostModel::evaluate(const nn::LayerSpec& layer,
   const std::int64_t in_alloc = g_span * cg_pad * in_rows * in_cols_pass;
   const std::int64_t alloc_words = w_alloc + in_alloc + out_disp;
   res.allocations_per_tile = std::min(
-      std::max<std::int64_t>(1, cfg_.glb_words() / alloc_words),
+      std::max<std::int64_t>(1, glb_words_ / alloc_words),
       output_tiles);
   res.tiles = ceil_div(output_tiles, res.allocations_per_tile);
 

@@ -50,6 +50,26 @@ struct CostResult {
   std::int64_t reduction_steps = 1;     ///< refills per output drain
 };
 
+/// The loop bounds and MAC count of one layer as the cost model reads
+/// them, derived once per layer rather than once per candidate mapping.
+struct LayerBounds {
+  std::int64_t n = 0;   ///< batch
+  std::int64_t k = 0;   ///< output channels
+  std::int64_t cg = 0;  ///< input channels per group
+  std::int64_t g = 0;   ///< groups
+  std::int64_t p = 0;   ///< output height
+  std::int64_t q = 0;   ///< output width
+  std::int64_t r = 0;   ///< kernel height
+  std::int64_t s = 0;   ///< kernel width
+  std::int64_t stride_h = 0;
+  std::int64_t stride_w = 0;
+  std::int64_t in_h = 0;
+  std::int64_t in_w = 0;
+  std::int64_t macs = 0;
+
+  [[nodiscard]] static LayerBounds of(const nn::LayerSpec& layer);
+};
+
 /// Evaluates mappings for a fixed accelerator and energy model.
 class CostModel {
  public:
@@ -60,11 +80,22 @@ class CostModel {
 
   /// Evaluate one candidate mapping. Never throws for in-range mappings;
   /// infeasible candidates return {valid = false}.
-  [[nodiscard]] CostResult evaluate(const nn::LayerSpec& layer, const Mapping& m) const;
+  [[nodiscard]] CostResult evaluate(const nn::LayerSpec& layer,
+                                    const Mapping& m) const {
+    return evaluate(LayerBounds::of(layer), m);
+  }
+  /// The same, on bounds the caller derived once for many mappings.
+  [[nodiscard]] CostResult evaluate(const LayerBounds& layer,
+                                    const Mapping& m) const;
 
  private:
   arch::AcceleratorConfig cfg_;
   arch::EnergyModel energy_;
+  // Buffer capacities in words (cfg_ is fixed at construction).
+  std::int64_t lb_input_words_ = 0;
+  std::int64_t lb_weight_words_ = 0;
+  std::int64_t lb_output_words_ = 0;
+  std::int64_t glb_words_ = 0;
 };
 
 }  // namespace rota::sched

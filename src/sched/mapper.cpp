@@ -1,7 +1,6 @@
 #include "sched/mapper.hpp"
 
 #include <algorithm>
-#include <numeric>
 #include <unordered_set>
 #include <utility>
 
@@ -196,12 +195,13 @@ template <class Fn>
 Mapper::SearchCounters Mapper::enumerate_candidates(const nn::LayerSpec& layer,
                                                     Fn&& fn) const {
   const auto& cfg = cost_.config();
-  const std::int64_t cg = layer.channels_per_group();
-  const std::int64_t q = layer.out_w();
-  const std::int64_t p = layer.out_h();
-  const std::int64_t k = layer.out_channels;
-  const std::int64_t r = layer.kernel_h;
-  const std::int64_t s = layer.kernel_w;
+  const LayerBounds bounds = LayerBounds::of(layer);
+  const std::int64_t cg = bounds.cg;
+  const std::int64_t q = bounds.q;
+  const std::int64_t p = bounds.p;
+  const std::int64_t k = bounds.k;
+  const std::int64_t r = bounds.r;
+  const std::int64_t s = bounds.s;
 
   SearchCounters counters;
 
@@ -263,7 +263,7 @@ Mapper::SearchCounters Mapper::enumerate_candidates(const nn::LayerSpec& layer,
                 m.lb_c = lb_c;
                 m.lb_q = lb_q;
                 m.lb_s = lb_s;
-                const CostResult c = cost_.evaluate(layer, m);
+                const CostResult c = cost_.evaluate(bounds, m);
                 ++counters.evaluated;
                 if (!c.valid) continue;
                 ++counters.feasible;
@@ -310,15 +310,12 @@ void Mapper::build_front(const nn::LayerSpec& layer,
                          std::vector<ParetoPoint>& points,
                          std::vector<CostResult>& costs) const {
   const auto& cfg = cost_.config();
-  const std::int64_t live =
-      array_.live_count(cfg.array_width, cfg.array_height);
-  points.clear();
-  costs.clear();
+  // Γ(1+1/β)·live^(1−1/β) is projected_mttf's numerator; dividing it by A
+  // per candidate is the same evaluation, bit for bit.
+  const double mttf_numerator = projected_mttf(
+      1, array_.live_count(cfg.array_width, cfg.array_height));
 
-  const auto same_objectives = [](const ParetoPoint& a, const ParetoPoint& b) {
-    return a.energy == b.energy && a.mttf == b.mttf && a.cycles == b.cycles;
-  };
-
+  ParetoFrontBuilder front;
   const SearchCounters counters = enumerate_candidates(
       layer, [&](const Mapping& m, const CostResult& c) {
         ParetoPoint p;
@@ -327,35 +324,15 @@ void Mapper::build_front(const nn::LayerSpec& layer,
         p.cycles = c.cycles;
         p.tiles = c.tiles;
         p.pe_allocations = c.tiles * m.sx * m.sy;
-        p.mttf = projected_mttf(p.pe_allocations, live);
+        ROTA_ENSURE(p.pe_allocations >= 1,
+                    "a feasible candidate allocates >= 1 PE");
+        p.mttf = mttf_numerator / static_cast<double>(p.pe_allocations);
         const auto [u, v] = array_.anchor(m.sx, m.sy);
         p.anchor_u = u;
         p.anchor_v = v;
-
-        // Incremental front maintenance. The final set is independent of
-        // insertion order: at most one member per objective triple (the
-        // lexicographically least mapping), and only mutually
-        // non-dominated triples survive.
-        std::size_t i = 0;
-        while (i < points.size()) {
-          if (same_objectives(points[i], p)) {
-            if (mapping_lex_less(p.mapping, points[i].mapping)) {
-              points[i] = p;
-              costs[i] = c;
-            }
-            return;
-          }
-          if (dominates(points[i], p)) return;
-          if (dominates(p, points[i])) {
-            points.erase(points.begin() + static_cast<std::ptrdiff_t>(i));
-            costs.erase(costs.begin() + static_cast<std::ptrdiff_t>(i));
-            continue;
-          }
-          ++i;
-        }
-        points.push_back(p);
-        costs.push_back(c);
+        front.offer(p, c);
       });
+  front.take(points, costs);
 
   ROTA_ENSURE(!points.empty(),
               "no feasible mapping for layer " + layer.name +
@@ -371,23 +348,6 @@ void Mapper::build_front(const nn::LayerSpec& layer,
     reg.add("mapper.pareto_front_points",
             static_cast<std::int64_t>(points.size()));
   }
-
-  // Canonical order, applied to both parallel arrays.
-  std::vector<std::size_t> order(points.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return pareto_canonical_less(points[a], points[b]);
-  });
-  std::vector<ParetoPoint> sorted_points;
-  std::vector<CostResult> sorted_costs;
-  sorted_points.reserve(points.size());
-  sorted_costs.reserve(costs.size());
-  for (const std::size_t idx : order) {
-    sorted_points.push_back(points[idx]);
-    sorted_costs.push_back(costs[idx]);
-  }
-  points = std::move(sorted_points);
-  costs = std::move(sorted_costs);
 }
 
 LayerSchedule Mapper::search_weighted(const nn::LayerSpec& layer) const {

@@ -1,8 +1,10 @@
 #include "sched/objective.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <numeric>
 #include <tuple>
 
 #include "util/check.hpp"
@@ -150,6 +152,78 @@ bool pareto_canonical_less(const ParetoPoint& a, const ParetoPoint& b) {
   if (a.cycles != b.cycles) return a.cycles < b.cycles;
   if (a.mttf != b.mttf) return a.mttf > b.mttf;
   return mapping_lex_less(a.mapping, b.mapping);
+}
+
+void ParetoFrontBuilder::offer(const ParetoPoint& p, const CostResult& c) {
+  ROTA_REQUIRE(std::isfinite(p.energy) && std::isfinite(p.mttf) &&
+                   std::isfinite(p.cycles),
+               "Pareto candidates need finite objective values");
+  const Objectives o{p.energy, p.mttf, p.cycles};
+  // `a` is no worse than `b` on every axis. For finite values, dominance
+  // is weak one way and not the other; an equal triple is weak both ways.
+  const auto weak = [](const Objectives& a, const Objectives& b) {
+    return (a.energy <= b.energy) & (a.mttf >= b.mttf) & (a.cycles <= b.cycles);
+  };
+  // A dominated candidate shares its triple with no member (that member
+  // would be dominated too), so rejecting it here is what the scan below
+  // would do.
+  if (has_last_dominator_ && weak(last_dominator_, o) &&
+      !weak(o, last_dominator_)) {
+    return;
+  }
+  std::size_t i = 0;
+  while (i < keys_.size()) {
+    const bool member_weak = weak(keys_[i], o);
+    const bool candidate_weak = weak(o, keys_[i]);
+    if (!member_weak && !candidate_weak) {  // incomparable: the common case
+      ++i;
+      continue;
+    }
+    if (member_weak && candidate_weak) {  // same triple: keep the least mapping
+      if (mapping_lex_less(p.mapping, points_[i].mapping)) {
+        points_[i] = p;
+        costs_[i] = c;
+      }
+      return;
+    }
+    if (member_weak) {
+      last_dominator_ = keys_[i];
+      has_last_dominator_ = true;
+      return;
+    }
+    // The candidate dominates member i. Member order is free (take()
+    // sorts), so fill the hole from the back.
+    keys_[i] = keys_.back();
+    keys_.pop_back();
+    points_[i] = points_.back();
+    points_.pop_back();
+    costs_[i] = costs_.back();
+    costs_.pop_back();
+  }
+  keys_.push_back(o);
+  points_.push_back(p);
+  costs_.push_back(c);
+}
+
+void ParetoFrontBuilder::take(std::vector<ParetoPoint>& points,
+                              std::vector<CostResult>& costs) {
+  std::vector<std::size_t> order(points_.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return pareto_canonical_less(points_[a], points_[b]);
+  });
+  points.clear();
+  costs.clear();
+  points.reserve(order.size());
+  costs.reserve(order.size());
+  for (const std::size_t idx : order) {
+    points.push_back(points_[idx]);
+    costs.push_back(costs_[idx]);
+  }
+  keys_.clear();
+  points_.clear();
+  costs_.clear();
+  has_last_dominator_ = false;
 }
 
 bool objective_better(const ObjectiveSpec& spec, const CostResult& a,

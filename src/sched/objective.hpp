@@ -165,6 +165,40 @@ struct NetworkParetoFront {
 [[nodiscard]] bool pareto_canonical_less(const ParetoPoint& a,
                                          const ParetoPoint& b);
 
+/// Incremental Pareto front over (energy, projected MTTF, cycles): the
+/// fold behind Mapper::pareto_layer. Each member keeps the CostResult that
+/// priced it. The front is always mutually non-dominated and holds at most
+/// one member per objective triple (the mapping_lex_less-least one), so
+/// the final set does not depend on the order candidates are offered in.
+class ParetoFrontBuilder {
+ public:
+  /// Fold one candidate into the front.
+  /// \pre p's energy, mttf and cycles are finite (the cost model's are).
+  void offer(const ParetoPoint& p, const CostResult& c);
+
+  /// Write the front to `points` and `costs` (parallel arrays, replacing
+  /// their contents), canonically ordered by pareto_canonical_less, and
+  /// leave the builder empty.
+  void take(std::vector<ParetoPoint>& points, std::vector<CostResult>& costs);
+
+ private:
+  /// A member's objective triple, scanned apart from its heavier records.
+  struct Objectives {
+    double energy = 0.0;
+    double mttf = 0.0;
+    double cycles = 0.0;
+  };
+
+  std::vector<Objectives> keys_;  ///< keys_[i] is points_[i]'s triple
+  std::vector<ParetoPoint> points_;
+  std::vector<CostResult> costs_;
+  /// The last triple found dominating a candidate, checked first: it is a
+  /// member's, or dominated by a member, so whatever it dominates is off
+  /// the front too.
+  Objectives last_dominator_;
+  bool has_last_dominator_ = false;
+};
+
 /// Strict-weak candidate ordering induced by a *pure* objective — the
 /// single-pass argmin comparator the mapper runs. For kEnergy this is
 /// exactly the historical chain (energy, cycles, larger sx·sy, then

@@ -47,6 +47,12 @@ std::string fmt(double value, int precision) {
   return os.str();
 }
 
+std::string fmt_sig(double value, int digits) {
+  std::ostringstream os;
+  os << std::setprecision(digits) << value;
+  return os.str();
+}
+
 std::string fmt_pct(double fraction, int precision) {
   std::ostringstream os;
   os << std::fixed << std::setprecision(precision) << fraction * 100.0 << '%';

@@ -32,6 +32,10 @@ class TextTable {
 /// Format a double with fixed precision (default 3 decimal places).
 [[nodiscard]] std::string fmt(double value, int precision = 3);
 
+/// Format a double with `digits` significant digits ("0.0005123",
+/// "5.123e-07"), so values far below 1 keep their digits.
+[[nodiscard]] std::string fmt_sig(double value, int digits = 4);
+
 /// Format a value as a percentage ("55.8%"), precision in decimal places.
 [[nodiscard]] std::string fmt_pct(double fraction, int precision = 1);
 

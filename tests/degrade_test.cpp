@@ -586,13 +586,18 @@ TEST(DegradeCli, PoolLargerThanTheActivePesCapsTheResidualTolerance) {
   // Baseline leaves part of the array idle under Llama-2 7B, so 149 free
   // spares plus the retirement budget exceed the active PEs: the residual
   // MTTF must cap the tolerance at the active count minus one, not at the
-  // live-set size (which threw a precondition error, exit 2).
+  // live-set size (which threw a precondition error, exit 2), and the
+  // printed tolerance is the capped one the MTTF was computed at. Both
+  // MTTFs are far below 1e-4 and must still print their digits.
   cli::clear_interrupt();
   auto [rc, out] = run_cli({"degrade", "LM", "--iters", "50", "--spares",
                             "150", "--policy", "Baseline", "--fault",
-                            "pe=0,0@10"});
+                            "pe=0,0@10", "--mc", "200"});
   EXPECT_EQ(rc, 0);
-  EXPECT_NE(out.find("residual (tolerance 191)"), std::string::npos) << out;
+  EXPECT_NE(out.find("residual (tolerance 79): 6.894e-06"), std::string::npos)
+      << out;
+  EXPECT_EQ(out.find("0.0000"), std::string::npos) << out;
+  EXPECT_NE(out.find("MC cross-check: "), std::string::npos) << out;
 }
 
 TEST(DegradeCli, InjectReschedRoutesThroughTheDegradeEngine) {

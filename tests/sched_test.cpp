@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <numeric>
 #include <sstream>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -16,6 +20,8 @@
 #include "wear/policy.hpp"
 #include "wear/simulator.hpp"
 #include "util/check.hpp"
+#include "util/math.hpp"
+#include "util/rng.hpp"
 
 namespace rota::sched {
 namespace {
@@ -758,6 +764,285 @@ TEST(Pareto, DegradedFrontsNeverPlaceWorkOnDeadPes) {
         }
       }
     }
+  }
+}
+
+// One feasible candidate of a layer search, as the front folds it.
+struct Candidate {
+  ParetoPoint point;
+  CostResult cost;
+};
+
+// The mapper's search space rebuilt from its definition, independently of
+// Mapper's own enumeration: both spatial dimension choices; spatial
+// factors that divide their bound (every factor up to the array side when
+// `exact` is false); kernel-width divisors for lb_s; and divisor ladders
+// for lb_c and lb_q (plus the capacity cap itself when `exact` is false).
+// Candidates are kept if the cost model prices them and the window fits
+// the array state.
+std::vector<Candidate> enumerate_reference(const CostModel& model,
+                                           const ArrayState& array,
+                                           const nn::LayerSpec& layer,
+                                           bool exact) {
+  const arch::AcceleratorConfig& cfg = model.config();
+  const std::int64_t live = array.live_count(cfg.array_width,
+                                             cfg.array_height);
+  const std::int64_t cg = layer.channels_per_group();
+  const std::int64_t q = layer.out_w();
+  const auto ladder = [exact](std::int64_t bound, std::int64_t cap) {
+    std::vector<std::int64_t> out;
+    cap = std::min(cap, bound);
+    if (cap < 1) return out;
+    for (const std::int64_t d : util::divisors(bound)) {
+      if (d <= cap) out.push_back(d);
+    }
+    if (!exact && out.back() != cap) out.push_back(cap);
+    return out;
+  };
+  const auto spatial = [exact, &ladder](std::int64_t bound,
+                                        std::int64_t side) {
+    if (exact) return ladder(bound, side);
+    std::vector<std::int64_t> out(
+        static_cast<std::size_t>(std::min(bound, side)));
+    std::iota(out.begin(), out.end(), std::int64_t{1});
+    return out;
+  };
+  std::vector<Candidate> out;
+  for (const SpatialX dx : {SpatialX::kOutChannels, SpatialX::kOutWidth}) {
+    for (const SpatialY dy : {SpatialY::kOutHeight, SpatialY::kInChannels}) {
+      const std::int64_t bx =
+          dx == SpatialX::kOutChannels ? layer.out_channels : q;
+      const std::int64_t by = dy == SpatialY::kOutHeight ? layer.out_h() : cg;
+      for (const std::int64_t sx : spatial(bx, cfg.array_width)) {
+        for (const std::int64_t sy : spatial(by, cfg.array_height)) {
+          if (!array.fits(sx, sy)) continue;
+          for (const std::int64_t lb_s : util::divisors(layer.kernel_w)) {
+            const std::int64_t cap_c =
+                std::min(cfg.lb_weight_words() / (layer.kernel_h * lb_s),
+                         cfg.lb_input_words() / lb_s);
+            for (const std::int64_t lb_c : ladder(cg, cap_c)) {
+              for (const std::int64_t lb_q :
+                   ladder(q, cfg.lb_output_words())) {
+                const Mapping m{dx, dy, sx, sy, lb_c, lb_q, lb_s};
+                const CostResult c = model.evaluate(layer, m);
+                if (!c.valid) continue;
+                ParetoPoint p;
+                p.mapping = m;
+                p.energy = c.energy;
+                p.cycles = c.cycles;
+                p.tiles = c.tiles;
+                p.pe_allocations = c.tiles * m.sx * m.sy;
+                p.mttf = projected_mttf(p.pe_allocations, live);
+                const auto [u, v] = array.anchor(m.sx, m.sy);
+                p.anchor_u = u;
+                p.anchor_v = v;
+                out.push_back({p, c});
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  return out;
+}
+
+// The incremental front of the original Mapper::build_front, verbatim:
+// a linear scan per candidate that replaces an equal triple's member by
+// the lexicographically least mapping, drops a dominated candidate and
+// erases the members the candidate dominates. Canonically sorted.
+std::vector<Candidate> reference_front(const std::vector<Candidate>& stream) {
+  std::vector<ParetoPoint> points;
+  std::vector<CostResult> costs;
+  const auto same_objectives = [](const ParetoPoint& a, const ParetoPoint& b) {
+    return a.energy == b.energy && a.mttf == b.mttf && a.cycles == b.cycles;
+  };
+  for (const Candidate& cand : stream) {
+    const ParetoPoint& p = cand.point;
+    const CostResult& c = cand.cost;
+    [&] {
+      std::size_t i = 0;
+      while (i < points.size()) {
+        if (same_objectives(points[i], p)) {
+          if (mapping_lex_less(p.mapping, points[i].mapping)) {
+            points[i] = p;
+            costs[i] = c;
+          }
+          return;
+        }
+        if (dominates(points[i], p)) return;
+        if (dominates(p, points[i])) {
+          points.erase(points.begin() + static_cast<std::ptrdiff_t>(i));
+          costs.erase(costs.begin() + static_cast<std::ptrdiff_t>(i));
+          continue;
+        }
+        ++i;
+      }
+      points.push_back(p);
+      costs.push_back(c);
+    }();
+  }
+  std::vector<std::size_t> order(points.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return pareto_canonical_less(points[a], points[b]);
+  });
+  std::vector<Candidate> front;
+  for (const std::size_t idx : order) front.push_back({points[idx], costs[idx]});
+  return front;
+}
+
+// Field-exact comparison; doubles by their bits, so -0.0 vs 0.0 or a NaN
+// payload would show.
+void expect_same_point(const ParetoPoint& got, const ParetoPoint& want,
+                       const std::string& where) {
+  EXPECT_EQ(got.mapping, want.mapping) << where;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.energy),
+            std::bit_cast<std::uint64_t>(want.energy)) << where;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.cycles),
+            std::bit_cast<std::uint64_t>(want.cycles)) << where;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.mttf),
+            std::bit_cast<std::uint64_t>(want.mttf)) << where;
+  EXPECT_EQ(got.tiles, want.tiles) << where;
+  EXPECT_EQ(got.pe_allocations, want.pe_allocations) << where;
+  EXPECT_EQ(got.anchor_u, want.anchor_u) << where;
+  EXPECT_EQ(got.anchor_v, want.anchor_v) << where;
+  EXPECT_EQ(got.selected, want.selected) << where;
+}
+
+void expect_same_cost(const CostResult& got, const CostResult& want,
+                      const std::string& where) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.energy),
+            std::bit_cast<std::uint64_t>(want.energy)) << where;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.cycles),
+            std::bit_cast<std::uint64_t>(want.cycles)) << where;
+  EXPECT_EQ(got.tiles, want.tiles) << where;
+  EXPECT_EQ(got.accesses.glb_accesses, want.accesses.glb_accesses) << where;
+  EXPECT_EQ(got.accesses.dram_accesses, want.accesses.dram_accesses) << where;
+  EXPECT_EQ(got.order, want.order) << where;
+  EXPECT_EQ(got.output_tiles, want.output_tiles) << where;
+  EXPECT_EQ(got.allocations_per_tile, want.allocations_per_tile) << where;
+  EXPECT_EQ(got.scatter_words, want.scatter_words) << where;
+  EXPECT_EQ(got.gather_words, want.gather_words) << where;
+  EXPECT_EQ(got.reduction_steps, want.reduction_steps) << where;
+}
+
+// Every front Mapper::pareto_layer builds, against the reference loop on
+// the reference enumeration, for the given layers and array states under
+// all four objectives. The front is objective-independent; only the
+// `selected` flag moves.
+void expect_fronts_match_reference(const std::vector<nn::LayerSpec>& layers,
+                                   const std::vector<ArrayState>& states,
+                                   bool exact) {
+  const arch::AcceleratorConfig accel = arch::rota_like();
+  const CostModel model(accel);
+  const ObjectiveSpec objectives[] = {
+      ObjectiveSpec::energy(), ObjectiveSpec::lifetime(),
+      ObjectiveSpec::throughput(), ObjectiveSpec::weighted(0.2, 0.7, 0.1)};
+  for (const ArrayState& state : states) {
+    std::vector<std::vector<Candidate>> fronts;
+    for (const nn::LayerSpec& layer : layers) {
+      fronts.push_back(
+          reference_front(enumerate_reference(model, state, layer, exact)));
+      ASSERT_FALSE(fronts.back().empty()) << layer.name;
+    }
+    for (const ObjectiveSpec& objective : objectives) {
+      const Mapper mapper(accel, objective, arch::EnergyModel{},
+                          MapperOptions{exact, 1}, state);
+      for (std::size_t l = 0; l < layers.size(); ++l) {
+        const nn::LayerSpec& layer = layers[l];
+        const std::string where = layer.name + " on " + state.digest() +
+                                  " under " + objective.id() +
+                                  (exact ? "" : " (any factor)");
+        std::vector<ParetoPoint> want_points;
+        for (const Candidate& cand : fronts[l]) {
+          want_points.push_back(cand.point);
+        }
+        want_points[select_from_front(want_points, objective)].selected =
+            true;
+        const LayerParetoFront got = mapper.pareto_layer(layer);
+        ASSERT_EQ(got.points.size(), want_points.size()) << where;
+        for (std::size_t i = 0; i < want_points.size(); ++i) {
+          expect_same_point(got.points[i], want_points[i],
+                            where + " point " + std::to_string(i));
+        }
+      }
+    }
+  }
+}
+
+std::vector<ArrayState> reference_states() {
+  const arch::AcceleratorConfig accel = arch::rota_like();
+  const std::int64_t w = accel.array_width;
+  const std::int64_t h = accel.array_height;
+  return {ArrayState(w, h, {}), ArrayState(w, h, {{3, 3}}),
+          ArrayState(w, h, {{0, 0}, {5, 3}, {13, 11}, {7, 6}, {2, 9}})};
+}
+
+TEST(Pareto, FrontMatchesIncrementalReference) {
+  // Unique layer shapes of the whole zoo, exact factors (the default).
+  std::vector<nn::LayerSpec> layers;
+  std::unordered_set<std::string> seen;
+  for (const nn::Network& net : nn::all_workloads()) {
+    for (const nn::LayerSpec& layer : net.layers()) {
+      if (seen.insert(layer.shape_key()).second) layers.push_back(layer);
+    }
+  }
+  ASSERT_GT(layers.size(), 20u);
+  expect_fronts_match_reference(layers, reference_states(), true);
+
+  // Any-factor mode explores a larger space; a few SqueezeNet shapes.
+  const nn::Network squeezenet = nn::make_squeezenet();
+  std::vector<nn::LayerSpec> small;
+  for (std::size_t i = 0; i < 3; ++i) small.push_back(squeezenet.layers()[i]);
+  expect_fronts_match_reference(small, reference_states(), false);
+}
+
+TEST(Pareto, FrontBuilderIsIndependentOfOfferOrder) {
+  const arch::AcceleratorConfig accel = arch::rota_like();
+  const CostModel model(accel);
+  const ArrayState state = reference_states()[2];
+  const nn::LayerSpec layer = nn::make_squeezenet().layers()[1];
+  std::vector<Candidate> stream =
+      enumerate_reference(model, state, layer, true);
+  ASSERT_GT(stream.size(), 50u);
+  // Append candidates that repeat an existing triple under another
+  // mapping, on both sides of the original in lexicographic order, so
+  // the least-mapping rule is exercised whichever arrives first.
+  const std::size_t n = stream.size();
+  for (std::size_t i = 0; i < n; i += 3) {
+    Candidate later = stream[i];
+    later.point.mapping.lb_s += 1000;
+    stream.push_back(later);
+    Candidate earlier = stream[i];
+    earlier.point.mapping.sx = 0;
+    stream.push_back(earlier);
+  }
+  const std::vector<Candidate> want = reference_front(stream);
+  util::SplitMix64 rng(0x70617265746fULL);
+  for (int round = 0; round < 8; ++round) {
+    if (round > 0) {
+      for (std::size_t i = stream.size(); i > 1; --i) {
+        std::swap(stream[i - 1], stream[rng.next_below(i)]);
+      }
+    }
+    ParetoFrontBuilder builder;
+    for (const Candidate& cand : stream) builder.offer(cand.point, cand.cost);
+    std::vector<ParetoPoint> points;
+    std::vector<CostResult> costs;
+    builder.take(points, costs);
+    ASSERT_EQ(points.size(), want.size()) << "round " << round;
+    ASSERT_EQ(costs.size(), want.size()) << "round " << round;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      const std::string where =
+          "round " + std::to_string(round) + " point " + std::to_string(i);
+      expect_same_point(points[i], want[i].point, where);
+      expect_same_cost(costs[i], want[i].cost, where);
+    }
+    // take() leaves the builder empty and reusable.
+    builder.take(points, costs);
+    EXPECT_TRUE(points.empty());
+    EXPECT_TRUE(costs.empty());
   }
 }
 
