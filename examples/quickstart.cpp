@@ -43,8 +43,8 @@ int main() {
               << "x\n";
   }
 
-  // find_run is the non-throwing lookup of the v1 API; the throwing
-  // result.run(kind) accessor is deprecated.
+  // find_run is the one policy lookup: nullptr when the policy was not
+  // run (the throwing result.run(kind) accessor has been removed).
   const rota::PolicyRun* ro = result.find_run(PolicyKind::kRwlRo);
   if (ro == nullptr) {
     std::cout << "RWL+RO run missing from experiment result\n";

@@ -6,7 +6,6 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <functional>
 #include <iostream>
 #include <memory>
 #include <sstream>
@@ -26,9 +25,9 @@
 #include "obs/progress.hpp"
 #include "obs/snapshot.hpp"
 #include "obs/trace.hpp"
+#include "par/thread_pool.hpp"
 #include "util/check.hpp"
 #include "util/io.hpp"
-#include "util/retry.hpp"
 
 namespace rota::cli {
 
@@ -849,6 +848,54 @@ int dispatch(const Options& options, std::istream& in, std::ostream& out) {
   return 1;
 }
 
+/// The reproducibility stamp of one CLI invocation, as carried by the
+/// `--stats-out` envelope.
+obs::RunManifest cli_manifest(const Options& options) {
+  obs::RunManifest manifest = obs::make_run_manifest("rota", options.raw_args);
+  manifest.workload = options.workload;
+  manifest.policy = wear::to_string(options.policy);
+  manifest.metric =
+      options.metric == wear::WearMetric::kAllocations ? "alloc" : "cycles";
+  manifest.array_width = options.array_width;
+  manifest.array_height = options.array_height;
+  manifest.iterations = options.iterations;
+  manifest.seed = options.seed;
+  // The effective lane count, so Par/N wall times are comparable.
+  manifest.extra["threads"] =
+      std::to_string(par::resolve_threads(threads_of(options)));
+  if (options.spares > 0)
+    manifest.extra["spares"] = std::to_string(options.spares);
+  if (options.mc_trials > 0)
+    manifest.extra["mc_trials"] = std::to_string(options.mc_trials);
+  // Fault-injection state is part of reproducibility: a run with
+  // ROTA_FI armed or --fault events is not comparable to a clean one.
+  if (fi::Hooks::armed()) manifest.extra["fi"] = fi::Hooks::plan().to_spec();
+  if (!options.faults.empty()) {
+    std::string joined;
+    for (const std::string& f : options.faults)
+      joined += (joined.empty() ? "" : ";") + f;
+    manifest.extra["faults"] = joined;
+  }
+  if (options.verb == Verb::kMc)
+    manifest.extra["trials"] = std::to_string(options.trials);
+  // Objective provenance for the verbs that honor --objective
+  // (make_run_manifest pre-stamps the "energy" default; canonicalize
+  // the user's spelling when it parses — a bad spec fails in dispatch
+  // with the full error message).
+  if (options.verb == Verb::kSchedule || options.verb == Verb::kPareto ||
+      options.verb == Verb::kDegrade || options.verb == Verb::kInject) {
+    if (auto spec = sched::parse_objective(options.objective); spec.ok()) {
+      manifest.extra["objective.id"] = spec.value().id();
+      manifest.extra["objective.weights"] = spec.value().weights_csv();
+    }
+  }
+  if (options.verb == Verb::kDegrade) {
+    manifest.extra["degrade.mode"] = options.oblivious ? "oblivious" : "aware";
+    manifest.extra["degrade.retire"] = std::to_string(options.retire_fraction);
+  }
+  return manifest;
+}
+
 /// Arms the global metrics/trace/progress state for one invocation and
 /// guarantees it is restored (and the sinks flushed) however dispatch
 /// exits, so embedding callers and the test suite see no bleed-through.
@@ -858,8 +905,7 @@ class ObservabilityScope {
     auto& reg = obs::MetricsRegistry::global();
     auto& tracer = obs::Tracer::global();
     auto& events = obs::EventLog::global();
-    if (!options_.metrics_path.empty() || options_.verbose ||
-        !options_.stats_out_path.empty()) {
+    if (options_.verbose || !options_.stats_out_path.empty()) {
       reg.reset();
       reg.set_enabled(true);
     }
@@ -876,58 +922,15 @@ class ObservabilityScope {
     if (!options_.events_path.empty()) events.set_sink(options_.events_path);
     if (!options_.stats_out_path.empty()) {
       obs::SnapshotPublisher::Options pub;
-      pub.json_path = options_.stats_out_path;
-      pub.openmetrics_path = openmetrics_twin(options_.stats_out_path);
+      pub.json_file = options_.stats_out_path;
+      pub.openmetrics_file = openmetrics_twin(options_.stats_out_path);
       if (options_.stats_interval_ms > 0)
         pub.interval = std::chrono::milliseconds(options_.stats_interval_ms);
-      publisher_ = std::make_unique<obs::SnapshotPublisher>(pub);
+      pub.manifest = cli_manifest(options_);
+      publisher_ = std::make_unique<obs::SnapshotPublisher>(std::move(pub));
       if (options_.stats_interval_ms > 0) publisher_->start();
     }
     if (options_.progress) obs::ProgressReporter::set_enabled(true);
-    manifest_ = obs::make_run_manifest("rota", options_.raw_args);
-    manifest_.workload = options_.workload;
-    manifest_.policy = wear::to_string(options_.policy);
-    manifest_.metric =
-        options_.metric == wear::WearMetric::kAllocations ? "alloc" : "cycles";
-    manifest_.array_width = options_.array_width;
-    manifest_.array_height = options_.array_height;
-    manifest_.iterations = options_.iterations;
-    manifest_.seed = options_.seed;
-    if (options_.spares > 0)
-      manifest_.extra["spares"] = std::to_string(options_.spares);
-    if (options_.mc_trials > 0)
-      manifest_.extra["mc_trials"] = std::to_string(options_.mc_trials);
-    if (options_.threads != 1)
-      manifest_.extra["threads"] = std::to_string(options_.threads);
-    // Fault-injection state is part of reproducibility: a run with
-    // ROTA_FI armed or --fault events is not comparable to a clean one.
-    if (fi::Hooks::armed())
-      manifest_.extra["fi"] = fi::Hooks::plan().to_spec();
-    if (!options_.faults.empty()) {
-      std::string joined;
-      for (const std::string& f : options_.faults)
-        joined += (joined.empty() ? "" : ";") + f;
-      manifest_.extra["faults"] = joined;
-    }
-    if (options_.verb == Verb::kMc)
-      manifest_.extra["trials"] = std::to_string(options_.trials);
-    // Objective provenance for the verbs that honor --objective
-    // (make_run_manifest pre-stamps the "energy" default; canonicalize
-    // the user's spelling when it parses — a bad spec fails in dispatch
-    // with the full error message).
-    if (options_.verb == Verb::kSchedule || options_.verb == Verb::kPareto ||
-        options_.verb == Verb::kDegrade || options_.verb == Verb::kInject) {
-      if (auto spec = sched::parse_objective(options_.objective); spec.ok()) {
-        manifest_.extra["objective.id"] = spec.value().id();
-        manifest_.extra["objective.weights"] = spec.value().weights_csv();
-      }
-    }
-    if (options_.verb == Verb::kDegrade) {
-      manifest_.extra["degrade.mode"] =
-          options_.oblivious ? "oblivious" : "aware";
-      manifest_.extra["degrade.retire"] =
-          std::to_string(options_.retire_fraction);
-    }
     start_ = std::chrono::steady_clock::now();
     obs::log_event(obs::Severity::kInfo, "cli",
                    "run started: " + verb_name(options_.verb));
@@ -945,28 +948,14 @@ class ObservabilityScope {
     int rc = 0;
     auto& reg = obs::MetricsRegistry::global();
     auto& tracer = obs::Tracer::global();
-    manifest_.wall_seconds =
-        std::chrono::duration_cast<std::chrono::duration<double>>(
-            std::chrono::steady_clock::now() - start_)
-            .count();
     {
       std::ostringstream done;
       done << "run finished: " << verb_name(options_.verb) << " ("
-           << manifest_.wall_seconds << "s)";
+           << std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                            start_)
+                  .count()
+           << "s)";
       obs::log_event(obs::Severity::kInfo, "cli", done.str());
-    }
-    if (!options_.metrics_path.empty()) {
-      try {
-        const std::string report = obs::metrics_report_json(manifest_, reg);
-        util::retry_io(
-            util::RetryOptions{},
-            std::hash<std::string>{}(options_.metrics_path),
-            [&] { util::write_file_atomic(options_.metrics_path, report); });
-        out << "wrote metrics " << options_.metrics_path << '\n';
-      } catch (const util::io_error& e) {
-        out << "error: " << e.what() << '\n';
-        rc = 1;
-      }
     }
     if (options_.verbose) out << '\n' << reg.table();
     if (!options_.trace_path.empty()) {
@@ -1019,7 +1008,6 @@ class ObservabilityScope {
   }
 
   const Options& options_;
-  obs::RunManifest manifest_;
   std::unique_ptr<obs::SnapshotPublisher> publisher_;
   std::chrono::steady_clock::time_point start_{};
 };
@@ -1032,7 +1020,7 @@ int run(const Options& options, std::istream& in, std::ostream& out) {
   fi::Hooks::arm_from_env();
   ObservabilityScope scope(options);
   const int rc = dispatch(options, in, out);
-  // serve owns `out` as its JSON-lines reply channel, so "wrote metrics"
+  // serve owns `out` as its JSON-lines reply channel, so "wrote stats"
   // notices must not be interleaved with protocol replies.
   std::ostream& notices = options.verb == Verb::kServe
                               ? std::cerr  // rota-lint: allow(log-discipline)

@@ -54,7 +54,7 @@ std::uint64_t parse_u64(const std::string& text, const std::string& flag) {
 constexpr std::string_view kAllFlags[] = {
     "--array",   "--iters",   "--spares",  "--policy",    "--metric",
     "--pgm",     "--csv",     "--schedule", "--seed",     "--mc",
-    "--threads", "--metrics", "--trace",   "--progress",  "-v",
+    "--threads", "--trace",   "--progress",  "-v",
     "--verbose", "--cache-dir", "--cache-cap", "--batch", "--queue-cap",
     "--fault",   "--checkpoint", "--trials",  "--objective", "--json",
     "--stats-out", "--stats-interval", "--events",
@@ -62,7 +62,7 @@ constexpr std::string_view kAllFlags[] = {
 
 /// The observability flags every working verb owns.
 constexpr std::string_view kObsFlags[] = {
-    "--metrics", "--trace", "--stats-out", "--stats-interval", "--events",
+    "--trace", "--stats-out", "--stats-interval", "--events",
     "--progress", "-v", "--verbose"};
 
 /// Flags owned by `verb` beyond the shared observability set. The scoping
@@ -306,8 +306,6 @@ Options parse(const std::vector<std::string>& args) {
       opt.mc_trials = parse_non_negative_int(value_of(flag), flag);
     } else if (flag == "--threads") {
       opt.threads = parse_non_negative_int(value_of(flag), flag);
-    } else if (flag == "--metrics") {
-      opt.metrics_path = value_of(flag);
     } else if (flag == "--trace") {
       opt.trace_path = value_of(flag);
     } else if (flag == "--stats-out") {
@@ -507,11 +505,9 @@ std::string usage() {
       "  time changes.\n"
       "\n"
       "observability (any working command):\n"
-      "  --metrics FILE            write {manifest, metrics} JSON after the "
-      "run\n"
       "  --trace FILE              write a Chrome trace-event JSON "
       "(Perfetto)\n"
-      "  --stats-out FILE          live metrics snapshot (JSON; an\n"
+      "  --stats-out FILE          {manifest, metrics} snapshot JSON (an\n"
       "                            OpenMetrics twin lands next to it as\n"
       "                            FILE with .om extension); written\n"
       "                            atomically at exit, and periodically "

@@ -16,8 +16,8 @@
 /// owns and rejects the rest with an "option not accepted by this
 /// subcommand" error, so `rota lifetime --policy RWL` (lifetime always
 /// compares all schemes) fails loudly instead of silently ignoring the
-/// flag. The observability flags (--metrics, --trace, --progress,
-/// -v/--verbose) are owned by every working verb.
+/// flag. The observability flags (--trace, --stats-out, --stats-interval,
+/// --events, --progress, -v/--verbose) are owned by every working verb.
 
 namespace rota::cli {
 
@@ -80,9 +80,8 @@ struct Options {
   double retire_fraction = 0.75;  ///< degrade: retire below this live share
   std::int64_t checkpoint_every = 64;  ///< degrade: autosave cadence (iters)
   // Observability (see src/obs/): every verb accepts these.
-  std::string metrics_path;  ///< write {manifest, metrics} JSON here
   std::string trace_path;    ///< write a Chrome trace-event JSON here
-  std::string stats_out_path;  ///< live snapshot JSON path (+ .om twin)
+  std::string stats_out_path;  ///< {manifest, metrics} snapshot (+ .om twin)
   std::int64_t stats_interval_ms = 0;  ///< snapshot period; 0 = exit only
   std::string events_path;   ///< structured EventLog JSON-lines sink
   bool progress = false;     ///< ETA progress lines on stderr (TTY only)

@@ -34,9 +34,9 @@
 ///   - Additions are backward compatible within v1. Breaking changes get
 ///     a `rota::api::v2` namespace; v1 then remains for two releases with
 ///     deprecation notes before removal. Deprecated members of the
-///     historical (unversioned) surface — e.g. the throwing
-///     ExperimentResult::run — say so in their doc comment and have a
-///     non-throwing v1 replacement.
+///     historical (unversioned) surface say so in their doc comment and
+///     have a non-throwing v1 replacement; the throwing
+///     ExperimentResult::run has been removed in favor of find_run.
 ///
 /// The historical throwing surface (`rota::Experiment`, free functions in
 /// module namespaces) remains available for in-process callers that want
@@ -91,8 +91,8 @@ inline constexpr int kSchemaVersion = obs::kSchemaVersion;
     const std::vector<wear::PolicyKind>& policies) noexcept;
 
 /// The run for `kind` inside `result`. Errors: not_found when the policy
-/// was not part of the experiment. (Non-throwing replacement for the
-/// deprecated ExperimentResult::run.)
+/// was not part of the experiment. (ExperimentResult::find_run is the
+/// pointer-returning form; the throwing ExperimentResult::run is gone.)
 [[nodiscard]] Result<PolicyRun> find_run(const ExperimentResult& result,
                                          wear::PolicyKind kind) noexcept;
 

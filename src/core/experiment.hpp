@@ -56,13 +56,6 @@ struct ExperimentResult {
   /// service layer.
   [[nodiscard]] const PolicyRun* find_run(wear::PolicyKind kind) const noexcept;
 
-  /// The run for a given policy; throws util::precondition_error if the
-  /// policy was not included. Deprecated in favor of find_run(): new code
-  /// (and everything behind rota::api::v1) must use the non-throwing
-  /// lookup. Kept as a thin shim for source compatibility; scheduled for
-  /// removal with the v1 API's first breaking release.
-  [[nodiscard]] const PolicyRun& run(wear::PolicyKind kind) const;
-
   /// Relative lifetime improvement of `kind` over the baseline run
   /// (Eq. 4). Requires both runs to be present.
   [[nodiscard]] double improvement_over_baseline(wear::PolicyKind kind) const;

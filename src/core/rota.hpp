@@ -23,9 +23,9 @@
 /// historical throwing surface and remain supported for in-process use.
 /// `rota::api::v1` wraps them without forking the implementation; it only
 /// grows compatibly, and a breaking change opens `rota::api::v2` while v1
-/// lives on for two releases. Members documented as deprecated (e.g. the
-/// throwing ExperimentResult::run, replaced by find_run) are removed with
-/// the next generation bump, never silently.
+/// lives on for two releases. Members documented as deprecated are removed
+/// with the next generation bump, never silently; the throwing
+/// ExperimentResult::run is gone, and find_run is the one lookup.
 ///
 /// Quickstart (v1 facade):
 /// \code

@@ -28,8 +28,8 @@ namespace rota::fi {
 /// Cumulative injected-fault counts since the last arm()/reset_counters().
 /// Mirrored into obs metrics (fi.read_faults, fi.write_faults,
 /// fi.corruptions, fi.stalls, fi.alloc_faults) when the registry is
-/// enabled, so they land in --metrics-out JSON next to the retry/shed
-/// counters of the hardened layers.
+/// enabled, so they land in the --stats-out snapshot next to the
+/// retry/shed counters of the hardened layers.
 struct HookCounters {
   std::int64_t read_faults = 0;
   std::int64_t write_faults = 0;

@@ -1,9 +1,7 @@
 #include "obs/json.hpp"
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
 namespace rota::obs {
 
@@ -56,164 +54,6 @@ std::string json_number(double value) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.17g", value);
   return buf;
-}
-
-namespace {
-
-/// Cursor over the document; each parse_* consumes one construct and
-/// returns false on the first violation.
-struct Parser {
-  std::string_view text;
-  std::size_t pos = 0;
-
-  [[nodiscard]] bool done() const { return pos >= text.size(); }
-  [[nodiscard]] char peek() const { return text[pos]; }
-
-  void skip_ws() {
-    while (!done() && (peek() == ' ' || peek() == '\t' || peek() == '\n' ||
-                       peek() == '\r'))
-      ++pos;
-  }
-
-  bool parse_value() {  // NOLINT(misc-no-recursion)
-    skip_ws();
-    if (done()) return false;
-    switch (peek()) {
-      case '{':
-        return parse_object();
-      case '[':
-        return parse_array();
-      case '"':
-        return parse_string();
-      case 't':
-        return parse_literal("true");
-      case 'f':
-        return parse_literal("false");
-      case 'n':
-        return parse_literal("null");
-      default:
-        return parse_number();
-    }
-  }
-
-  bool parse_literal(std::string_view lit) {
-    if (text.substr(pos, lit.size()) != lit) return false;
-    pos += lit.size();
-    return true;
-  }
-
-  bool parse_string() {
-    if (done() || peek() != '"') return false;
-    ++pos;
-    while (!done()) {
-      const char ch = peek();
-      if (ch == '"') {
-        ++pos;
-        return true;
-      }
-      if (static_cast<unsigned char>(ch) < 0x20) return false;
-      if (ch == '\\') {
-        ++pos;
-        if (done()) return false;
-        const char esc = peek();
-        if (esc == 'u') {
-          for (int i = 0; i < 4; ++i) {
-            ++pos;
-            if (done() || std::isxdigit(static_cast<unsigned char>(peek())) == 0)
-              return false;
-          }
-        } else if (esc != '"' && esc != '\\' && esc != '/' && esc != 'b' &&
-                   esc != 'f' && esc != 'n' && esc != 'r' && esc != 't') {
-          return false;
-        }
-      }
-      ++pos;
-    }
-    return false;  // unterminated
-  }
-
-  bool parse_number() {
-    const std::size_t start = pos;
-    if (!done() && peek() == '-') ++pos;
-    if (done() || std::isdigit(static_cast<unsigned char>(peek())) == 0)
-      return false;
-    if (peek() == '0') {
-      ++pos;
-    } else {
-      while (!done() && std::isdigit(static_cast<unsigned char>(peek())) != 0)
-        ++pos;
-    }
-    if (!done() && peek() == '.') {
-      ++pos;
-      if (done() || std::isdigit(static_cast<unsigned char>(peek())) == 0)
-        return false;
-      while (!done() && std::isdigit(static_cast<unsigned char>(peek())) != 0)
-        ++pos;
-    }
-    if (!done() && (peek() == 'e' || peek() == 'E')) {
-      ++pos;
-      if (!done() && (peek() == '+' || peek() == '-')) ++pos;
-      if (done() || std::isdigit(static_cast<unsigned char>(peek())) == 0)
-        return false;
-      while (!done() && std::isdigit(static_cast<unsigned char>(peek())) != 0)
-        ++pos;
-    }
-    return pos > start;
-  }
-
-  bool parse_array() {  // NOLINT(misc-no-recursion)
-    ++pos;  // '['
-    skip_ws();
-    if (!done() && peek() == ']') {
-      ++pos;
-      return true;
-    }
-    while (true) {
-      if (!parse_value()) return false;
-      skip_ws();
-      if (done()) return false;
-      if (peek() == ']') {
-        ++pos;
-        return true;
-      }
-      if (peek() != ',') return false;
-      ++pos;
-    }
-  }
-
-  bool parse_object() {  // NOLINT(misc-no-recursion)
-    ++pos;  // '{'
-    skip_ws();
-    if (!done() && peek() == '}') {
-      ++pos;
-      return true;
-    }
-    while (true) {
-      skip_ws();
-      if (!parse_string()) return false;
-      skip_ws();
-      if (done() || peek() != ':') return false;
-      ++pos;
-      if (!parse_value()) return false;
-      skip_ws();
-      if (done()) return false;
-      if (peek() == '}') {
-        ++pos;
-        return true;
-      }
-      if (peek() != ',') return false;
-      ++pos;
-    }
-  }
-};
-
-}  // namespace
-
-bool json_valid(std::string_view text) {
-  Parser p{text};
-  if (!p.parse_value()) return false;
-  p.skip_ws();
-  return p.done();
 }
 
 }  // namespace rota::obs

@@ -5,20 +5,20 @@
 
 /// \file json.hpp
 /// Minimal JSON emission helpers shared by the observability sinks
-/// (metrics, trace events, run manifests) plus a strict validator used by
-/// the test suite and the CI smoke checks. No external dependency: the
+/// (metrics, trace events, run manifests). No external dependency: the
 /// JSON we emit is flat and machine-generated, so a small hand-rolled
-/// writer is both sufficient and auditable.
+/// writer is both sufficient and auditable. The repo's one JSON reader is
+/// svc::JsonValue (svc/jsonv.hpp); tests parse emitted JSON with it.
 
 namespace rota::obs {
 
 /// Version of every JSON envelope this repo emits or accepts: the
-/// {manifest, metrics} report, BENCH_perf.json, the trace envelope and
-/// the svc request/reply protocol. Unversioned envelopes from before the
-/// v1 API redesign are retroactively version 1; bump this whenever any
-/// envelope's layout changes so downstream tooling (tools/bench_compare.py,
-/// CI smoke checks, svc clients) fails loudly on drift instead of
-/// misreading fields.
+/// metrics snapshot (`--stats-out`, svc `stats`), BENCH_perf.json, the
+/// trace envelope and the svc request/reply protocol. Unversioned
+/// envelopes from before the v1 API redesign are retroactively version 1;
+/// bump this whenever any envelope's layout changes so downstream tooling
+/// (tools/bench_compare.py, CI smoke checks, svc clients) fails loudly on
+/// drift instead of misreading fields.
 inline constexpr int kSchemaVersion = 2;
 
 /// Escape a string for use inside a JSON string literal (quotes, control
@@ -31,10 +31,5 @@ inline constexpr int kSchemaVersion = 2;
 /// Format a double as a JSON number. Non-finite values (which JSON cannot
 /// represent) render as `null`.
 [[nodiscard]] std::string json_number(double value);
-
-/// Strict recursive-descent validation of a complete JSON document
-/// (object, array, string, number, true/false/null; no trailing garbage).
-/// Used by tests to prove the emitted metrics/trace files parse.
-[[nodiscard]] bool json_valid(std::string_view text);
 
 }  // namespace rota::obs

@@ -104,13 +104,4 @@ RunManifest make_run_manifest(std::string tool, std::string command) {
   return m;
 }
 
-std::string metrics_report_json(const RunManifest& manifest,
-                                const MetricsRegistry& registry) {
-  std::ostringstream os;
-  os << "{\"schema_version\":" << kSchemaVersion
-     << ",\"manifest\":" << manifest.to_json()
-     << ",\"metrics\":" << registry.json() << "}\n";
-  return os.str();
-}
-
 }  // namespace rota::obs

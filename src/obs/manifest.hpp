@@ -4,15 +4,13 @@
 #include <map>
 #include <string>
 
-#include "obs/metrics.hpp"
-
 /// \file manifest.hpp
 /// The RunManifest: a reproducibility stamp attached to every experiment,
-/// CLI metrics file and bench JSON — accelerator geometry, workload,
-/// policy, seed, iteration count, build identity (version / git SHA /
-/// build type), UTC start time and wall-clock duration. Two results are
-/// comparable across PRs exactly when their manifests say they measured
-/// the same thing.
+/// CLI stats snapshot (`--stats-out`) and bench JSON — accelerator
+/// geometry, workload, policy, seed, iteration count, build identity
+/// (version / git SHA / build type), UTC start time and wall-clock
+/// duration. Two results are comparable across PRs exactly when their
+/// manifests say they measured the same thing.
 
 namespace rota::obs {
 
@@ -43,11 +41,5 @@ struct RunManifest {
 /// clock; callers fill the workload-specific fields.
 [[nodiscard]] RunManifest make_run_manifest(std::string tool,
                                             std::string command);
-
-/// The standard machine-readable report: {"manifest": <manifest>,
-/// "metrics": <registry contents>}. This is what `rota --metrics FILE`
-/// and BENCH_perf.json contain.
-[[nodiscard]] std::string metrics_report_json(const RunManifest& manifest,
-                                              const MetricsRegistry& registry);
 
 }  // namespace rota::obs

@@ -32,8 +32,9 @@ std::string snapshot_json(const MetricsSnapshot& snapshot) {
   std::ostringstream os;
   os << "{\"schema_version\":" << kSchemaVersion
      << ",\"kind\":\"metrics_snapshot\",\"seq\":" << snapshot.seq
-     << ",\"uptime_seconds\":" << json_number(snapshot.uptime_seconds)
-     << ",\"metrics\":";
+     << ",\"uptime_seconds\":" << json_number(snapshot.uptime_seconds);
+  if (snapshot.manifest) os << ",\"manifest\":" << snapshot.manifest->to_json();
+  os << ",\"metrics\":";
   write_metrics_json(os, snapshot.metrics);
   os << "}\n";
   return os.str();
@@ -85,9 +86,9 @@ std::string snapshot_openmetrics(const MetricsSnapshot& snapshot) {
 SnapshotPublisher::SnapshotPublisher(Options options,
                                      MetricsRegistry& registry)
     : options_(std::move(options)), registry_(registry) {
-  ROTA_REQUIRE(!options_.json_path.empty(),
+  ROTA_REQUIRE(!options_.json_file.empty(),
                "SnapshotPublisher needs a JSON path");
-  ROTA_REQUIRE(!options_.openmetrics_path.empty(),
+  ROTA_REQUIRE(!options_.openmetrics_file.empty(),
                "SnapshotPublisher needs an OpenMetrics path");
   ROTA_REQUIRE(options_.interval.count() > 0,
                "snapshot interval must be positive");
@@ -138,7 +139,13 @@ void SnapshotPublisher::run() {
 bool SnapshotPublisher::publish_now() {
   const std::uint64_t seq =
       next_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
-  const MetricsSnapshot snap = capture_snapshot(registry_, seq);
+  MetricsSnapshot snap = capture_snapshot(registry_, seq);
+  if (options_.manifest) {
+    snap.manifest = options_.manifest;
+    snap.manifest->wall_seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - start_)
+            .count();
+  }
   const std::string json = snapshot_json(snap);
   const std::string om = snapshot_openmetrics(snap);
   const auto write_one = [&](const std::string& path,
@@ -151,8 +158,8 @@ bool SnapshotPublisher::publish_now() {
         });
   };
   try {
-    write_one(options_.json_path, json);
-    write_one(options_.openmetrics_path, om);
+    write_one(options_.json_file, json);
+    write_one(options_.openmetrics_file, om);
   } catch (const util::io_error& e) {
     failed_.fetch_add(1, std::memory_order_relaxed);
     registry_.add("obs.snapshot.failures");

@@ -2,10 +2,12 @@
 
 #include <chrono>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
 
+#include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
 #include "util/retry.hpp"
 #include "util/thread_annotations.hpp"
@@ -17,9 +19,9 @@
 /// so the two forms agree by construction — plus a SnapshotPublisher that
 /// samples the registry on a timer thread and atomically publishes both
 /// files (temp + fsync + rename via util::write_file_atomic, transient
-/// faults absorbed by util::retry_io). This is what `--stats-interval`
-/// wires up, what the svc `{"op":"stats"}` verb returns in-band, and what
-/// the ROADMAP's loadgen soak will scrape.
+/// faults absorbed by util::retry_io). This is the CLI's one metrics
+/// envelope (`--stats-out`, periodic with `--stats-interval`) and what the
+/// svc `{"op":"stats"}` verb returns in-band.
 
 namespace rota::obs {
 
@@ -27,6 +29,8 @@ namespace rota::obs {
 struct MetricsSnapshot {
   std::uint64_t seq = 0;        ///< Publisher sequence (0 for ad-hoc captures).
   double uptime_seconds = 0.0;  ///< Steady-clock seconds since process anchor.
+  /// The run this snapshot belongs to; absent for the svc `stats` reply.
+  std::optional<RunManifest> manifest;
   MetricsExport metrics;
 };
 
@@ -44,8 +48,10 @@ struct MetricsSnapshot {
 
 /// The snapshot as a JSON envelope:
 /// {"schema_version":N,"kind":"metrics_snapshot","seq":...,
-///  "uptime_seconds":...,"metrics":{...}} where "metrics" is the exact
-/// object MetricsRegistry::write_json emits.
+///  "uptime_seconds":...,"manifest":{...},"metrics":{...}} where
+/// "manifest" is RunManifest::to_json() (omitted when the snapshot has no
+/// manifest) and "metrics" is the exact object MetricsRegistry::write_json
+/// emits.
 [[nodiscard]] std::string snapshot_json(const MetricsSnapshot& snapshot);
 
 /// The snapshot in OpenMetrics text exposition format, `# EOF`-terminated.
@@ -63,7 +69,7 @@ struct MetricsSnapshot {
 [[nodiscard]] std::string openmetrics_name(std::string_view name);
 
 /// Samples the registry every `interval` on a dedicated thread and
-/// publishes the snapshot to `json_path` + `openmetrics_path`, each write
+/// publishes the snapshot to `json_file` + `openmetrics_file`, each write
 /// atomic (temp + fsync + rename) and retried on transient util::io_error.
 /// stop() (and the destructor) joins the thread and publishes one final
 /// snapshot so the exit state is always on disk. Publish outcomes are
@@ -73,10 +79,13 @@ struct MetricsSnapshot {
 class SnapshotPublisher {
  public:
   struct Options {
-    std::string json_path;         ///< Required.
-    std::string openmetrics_path;  ///< Required.
+    std::string json_file;         ///< Required.
+    std::string openmetrics_file;  ///< Required.
     std::chrono::milliseconds interval{1000};
     util::RetryOptions retry;  ///< Transient-fault policy for file writes.
+    /// Stamped into every JSON publish, with wall_seconds set to the
+    /// steady-clock time since the publisher was constructed.
+    std::optional<RunManifest> manifest;
   };
 
   explicit SnapshotPublisher(
@@ -111,6 +120,9 @@ class SnapshotPublisher {
 
   Options options_;
   MetricsRegistry& registry_;
+  /// Origin of the manifest's wall_seconds.
+  std::chrono::steady_clock::time_point start_ =
+      std::chrono::steady_clock::now();
   std::thread thread_;
   util::Mutex mu_;
   util::CondVar cv_;

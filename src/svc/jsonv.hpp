@@ -9,13 +9,13 @@
 #include "util/result.hpp"
 
 /// \file jsonv.hpp
-/// A minimal JSON *value* parser for the svc request protocol. The obs
-/// layer only ever emits JSON (obs/json.hpp has a validator but no reader);
-/// the batch service must also *accept* JSON requests from untrusted
-/// stdin, so this adds the smallest strict reader that covers the
-/// JSON-lines protocol: objects, arrays, strings (with escapes), numbers,
-/// booleans and null, bounded nesting depth, and structured errors instead
-/// of exceptions — a malformed request must never unwind the service.
+/// The repo's one JSON reader: a minimal strict *value* parser. The obs
+/// layer only emits JSON (obs/json.hpp); the batch service must also
+/// *accept* JSON requests from untrusted stdin, and the tests parse every
+/// emitted envelope (snapshots, traces, manifests) with this same reader.
+/// It covers objects, arrays, strings (with escapes), numbers, booleans
+/// and null, with bounded nesting depth and structured errors instead of
+/// exceptions — a malformed request must never unwind the service.
 
 namespace rota::svc {
 

@@ -3,13 +3,15 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "cli/commands.hpp"
 #include "cli/options.hpp"
-#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "par/thread_pool.hpp"
+#include "svc/jsonv.hpp"
 #include "util/check.hpp"
 
 namespace rota::cli {
@@ -115,18 +117,21 @@ TEST(CliParse, OptionsAreSubcommandScoped) {
   EXPECT_THROW(parse({"area", "--iters", "5"}), precondition_error);
   EXPECT_THROW(parse({"workloads", "--array", "8x8"}), precondition_error);
   EXPECT_THROW(parse({"serve", "--policy", "RWL"}), precondition_error);
-  EXPECT_THROW(parse({"version", "--metrics", "/tmp/m.json"}),
+  EXPECT_THROW(parse({"version", "--stats-out", "/tmp/m.json"}),
                precondition_error);
 
-  // A flag that exists nowhere gets the "unknown option for" wording.
-  try {
-    parse({"wear", "Sqz", "--frobnicate"});
-    FAIL() << "unknown options must be rejected";
-  } catch (const precondition_error& e) {
-    EXPECT_NE(std::string(e.what()).find("unknown option '--frobnicate' "
-                                         "for 'rota wear'"),
-              std::string::npos)
-        << e.what();
+  // A flag that exists nowhere gets the "unknown option for" wording;
+  // --metrics is gone (--stats-out writes the one metrics envelope).
+  for (const std::string flag : {"--frobnicate", "--metrics"}) {
+    try {
+      parse({"wear", "Sqz", flag, "x"});
+      FAIL() << "unknown option " << flag << " must be rejected";
+    } catch (const precondition_error& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown option '" + flag +
+                                           "' for 'rota wear'"),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 
@@ -418,20 +423,20 @@ TEST(CliRun, ServeGetsEmptyInputFromLegacyOverload) {
 // -------------------------------------------------------- observability ----
 
 TEST(CliParse, ObservabilityFlagsParse) {
-  const Options o = parse({"wear", "Sqz", "--metrics", "/tmp/m.json",
+  const Options o = parse({"wear", "Sqz", "--stats-out", "/tmp/m.json",
                            "--trace", "/tmp/t.json", "--progress", "-v",
                            "--seed", "42"});
-  EXPECT_EQ(o.metrics_path, "/tmp/m.json");
+  EXPECT_EQ(o.stats_out_path, "/tmp/m.json");
   EXPECT_EQ(o.trace_path, "/tmp/t.json");
   EXPECT_TRUE(o.progress);
   EXPECT_TRUE(o.verbose);
   EXPECT_EQ(o.seed, 42u);
-  EXPECT_NE(o.raw_args.find("--metrics"), std::string::npos);
+  EXPECT_NE(o.raw_args.find("--stats-out"), std::string::npos);
 }
 
 TEST(CliParse, ObservabilityDefaultsOff) {
   const Options o = parse({"wear", "Sqz"});
-  EXPECT_TRUE(o.metrics_path.empty());
+  EXPECT_TRUE(o.stats_out_path.empty());
   EXPECT_TRUE(o.trace_path.empty());
   EXPECT_FALSE(o.progress);
   EXPECT_FALSE(o.verbose);
@@ -447,7 +452,7 @@ TEST(CliParse, VersionVerbForms) {
 TEST(CliParse, BadObservabilityValuesRejected) {
   EXPECT_THROW(parse({"wear", "Sqz", "--seed", "abc"}), precondition_error);
   EXPECT_THROW(parse({"wear", "Sqz", "--seed", "-5"}), precondition_error);
-  EXPECT_THROW(parse({"wear", "Sqz", "--metrics"}), precondition_error);
+  EXPECT_THROW(parse({"wear", "Sqz", "--stats-out"}), precondition_error);
   EXPECT_THROW(parse({"lifetime", "Sqz", "--mc", "-1"}), precondition_error);
 }
 
@@ -465,28 +470,47 @@ std::string slurp(const std::string& path) {
 }
 
 TEST(CliRun, MetricsAndTraceSinksWriteValidJson) {
-  const std::string metrics_path = ::testing::TempDir() + "rota_cli_m.json";
+  const std::string stats_path = ::testing::TempDir() + "rota_cli_m.json";
+  const std::string om_path = ::testing::TempDir() + "rota_cli_m.om";
   const std::string trace_path = ::testing::TempDir() + "rota_cli_t.json";
   std::ostringstream out;
-  EXPECT_EQ(run(parse({"wear", "Sqz", "--iters", "5", "--metrics",
-                       metrics_path, "--trace", trace_path}),
+  EXPECT_EQ(run(parse({"wear", "Sqz", "--iters", "5", "--threads", "0",
+                       "--stats-out", stats_path, "--trace", trace_path}),
                 out),
             0);
+  EXPECT_NE(out.str().find("wrote stats " + stats_path), std::string::npos);
 
-  const std::string metrics = slurp(metrics_path);
-  EXPECT_TRUE(obs::json_valid(metrics)) << metrics;
-  for (const char* key : {"\"schema_version\"", "\"manifest\"", "\"metrics\"",
-                          "\"git_sha\"", "\"seed\"", "\"workload\"",
-                          "\"wear.iterations\""}) {
-    EXPECT_NE(metrics.find(key), std::string::npos) << key;
-  }
+  const std::string stats = slurp(stats_path);
+  auto doc = svc::JsonValue::parse(stats);
+  ASSERT_TRUE(doc.ok()) << doc.error().message << "\n" << stats;
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : doc.value().members()) keys.push_back(key);
+  EXPECT_EQ(keys, (std::vector<std::string>{"schema_version", "kind", "seq",
+                                            "uptime_seconds", "manifest",
+                                            "metrics"}));
+  const svc::JsonValue* manifest = doc.value().find("manifest");
+  ASSERT_NE(manifest, nullptr);
+  EXPECT_EQ(manifest->find("tool")->str(), "rota");
+  EXPECT_EQ(manifest->find("workload")->str(), "Sqz");
+  EXPECT_FALSE(manifest->find("git_sha")->str().empty());
+  EXPECT_EQ(manifest->find("seed")->as_uint64().value(), 0x526f5441u);
+  EXPECT_GT(manifest->find("wall_seconds")->number(), 0.0);
+  // The effective lane count: --threads 0 resolves to one lane per
+  // hardware thread, and the manifest records the resolved number.
+  const svc::JsonValue* threads = manifest->find("extra")->find("threads");
+  ASSERT_NE(threads, nullptr);
+  EXPECT_EQ(threads->str(), std::to_string(par::resolve_threads(0)));
+  EXPECT_NE(doc.value().find("metrics")->find("wear.iterations"), nullptr);
 
   const std::string trace = slurp(trace_path);
-  EXPECT_TRUE(obs::json_valid(trace)) << trace;
-  EXPECT_NE(trace.find("\"schema_version\""), std::string::npos);
-  EXPECT_NE(trace.find("\"traceEvents\""), std::string::npos);
+  auto trace_doc = svc::JsonValue::parse(trace);
+  ASSERT_TRUE(trace_doc.ok()) << trace_doc.error().message << "\n" << trace;
+  EXPECT_NE(trace_doc.value().find("schema_version"), nullptr);
+  ASSERT_NE(trace_doc.value().find("traceEvents"), nullptr);
+  EXPECT_TRUE(trace_doc.value().find("traceEvents")->is_array());
   EXPECT_NE(trace.find("\"ph\":\"X\""), std::string::npos);
-  std::remove(metrics_path.c_str());
+  std::remove(stats_path.c_str());
+  std::remove(om_path.c_str());
   std::remove(trace_path.c_str());
 }
 
@@ -506,7 +530,7 @@ TEST(CliRun, VerbosePrintsMetricsTable) {
 
 TEST(CliRun, UnwritableMetricsPathReportsIoError) {
   std::ostringstream out;
-  const int rc = run(parse({"wear", "Sqz", "--iters", "3", "--metrics",
+  const int rc = run(parse({"wear", "Sqz", "--iters", "3", "--stats-out",
                             "/nonexistent-dir/m.json"}),
                      out);
   EXPECT_EQ(rc, 1);

@@ -35,8 +35,6 @@ TEST(Experiment, RunsRequestedPoliciesInOrder) {
 TEST(Experiment, MissingPolicyLookupThrows) {
   Experiment exp(quick_config());
   const auto res = exp.run(nn::make_squeezenet(), {PolicyKind::kBaseline});
-  // The deprecated throwing shim still throws...
-  EXPECT_THROW((void)res.run(PolicyKind::kRwlRo), precondition_error);
   EXPECT_THROW((void)res.improvement_over_baseline(PolicyKind::kRwlRo),
                precondition_error);
 }
@@ -48,8 +46,7 @@ TEST(Experiment, FindRunIsNonThrowing) {
   const PolicyRun* base = res.find_run(PolicyKind::kBaseline);
   ASSERT_NE(base, nullptr);
   EXPECT_EQ(base->kind, PolicyKind::kBaseline);
-  // find_run and the deprecated run() agree on present policies.
-  EXPECT_EQ(base, &res.run(PolicyKind::kBaseline));
+  EXPECT_EQ(base, &res.runs[0]);
   // An absent policy is a nullptr, not an exception.
   EXPECT_EQ(res.find_run(PolicyKind::kRwlRo), nullptr);
 }
@@ -143,10 +140,12 @@ TEST(Experiment, RwlRoAchievesNearZeroRDiff) {
   const auto res =
       exp.run(nn::make_squeezenet(), {PolicyKind::kBaseline,
                                       PolicyKind::kRwlRo});
-  const auto& ro = res.run(PolicyKind::kRwlRo);
-  EXPECT_LT(ro.stats.r_diff, 0.01);  // paper: R_diff ≈ 0 (Fig. 7)
-  const auto& base = res.run(PolicyKind::kBaseline);
-  EXPECT_TRUE(std::isinf(base.stats.r_diff) || base.stats.r_diff > 1.0);
+  const PolicyRun* ro = res.find_run(PolicyKind::kRwlRo);
+  const PolicyRun* base = res.find_run(PolicyKind::kBaseline);
+  ASSERT_NE(ro, nullptr);
+  ASSERT_NE(base, nullptr);
+  EXPECT_LT(ro->stats.r_diff, 0.01);  // paper: R_diff ≈ 0 (Fig. 7)
+  EXPECT_TRUE(std::isinf(base->stats.r_diff) || base->stats.r_diff > 1.0);
 }
 
 TEST(Experiment, TransientSamplesCoverEveryIteration) {
@@ -229,7 +228,9 @@ TEST(Experiment, RunMixMatchesManualInterleaving) {
     sim.run_iteration(s0, *policy);
     sim.run_iteration(s1, *policy);
   }
-  EXPECT_TRUE(res.run(PolicyKind::kRwlRo).usage == sim.tracker().usage());
+  const PolicyRun* ro = res.find_run(PolicyKind::kRwlRo);
+  ASSERT_NE(ro, nullptr);
+  EXPECT_TRUE(ro->usage == sim.tracker().usage());
 }
 
 TEST(Experiment, RunMixRejectsEmptyMix) {

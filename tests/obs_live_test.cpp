@@ -11,9 +11,11 @@
 
 #include "obs/event_log.hpp"
 #include "obs/json.hpp"
+#include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
 #include "obs/progress.hpp"
 #include "obs/snapshot.hpp"
+#include "svc/jsonv.hpp"
 #include "util/check.hpp"
 #include "util/io.hpp"
 
@@ -94,6 +96,37 @@ TEST(Snapshot, JsonEnvelopeCarriesSchemaVersionAndSeq) {
             std::string::npos);
 }
 
+TEST(Snapshot, JsonEnvelopeCarriesTheRunManifest) {
+  MetricsRegistry reg;
+  reg.set_enabled(true);
+  reg.add("n", 5);
+  MetricsSnapshot snap = capture_snapshot(reg, 3);
+  snap.manifest = make_run_manifest("test", "cmd");
+  snap.manifest->wall_seconds = 1.5;
+  const std::string json = snapshot_json(snap);
+  auto doc = svc::JsonValue::parse(json);
+  ASSERT_TRUE(doc.ok()) << doc.error().message << "\n" << json;
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : doc.value().members()) keys.push_back(key);
+  EXPECT_EQ(keys, (std::vector<std::string>{"schema_version", "kind", "seq",
+                                            "uptime_seconds", "manifest",
+                                            "metrics"}));
+  EXPECT_EQ(doc.value().find("schema_version")->as_int64().value(),
+            kSchemaVersion);
+  // The manifest rides along verbatim as RunManifest::to_json().
+  EXPECT_NE(json.find("\"manifest\":" + snap.manifest->to_json() + ","),
+            std::string::npos);
+  const svc::JsonValue* manifest = doc.value().find("manifest");
+  EXPECT_EQ(manifest->find("tool")->str(), "test");
+  EXPECT_DOUBLE_EQ(manifest->find("wall_seconds")->number(), 1.5);
+  const svc::JsonValue* n = doc.value().find("metrics")->find("n");
+  ASSERT_NE(n, nullptr);
+  EXPECT_EQ(n->find("value")->as_int64().value(), 5);
+  // Without a manifest (the svc stats reply) the field is left out.
+  snap.manifest.reset();
+  EXPECT_EQ(snapshot_json(snap).find("\"manifest\""), std::string::npos);
+}
+
 TEST(Snapshot, OpenMetricsNameManglesToCharset) {
   EXPECT_EQ(openmetrics_name("svc.queue_wait_ms"), "rota_svc_queue_wait_ms");
   EXPECT_EQ(openmetrics_name("cache.l1-hit"), "rota_cache_l1_hit");
@@ -139,19 +172,27 @@ TEST(SnapshotPublisher, ExitOnlyModePublishesFinalSnapshotOnStop) {
   reg.set_enabled(true);
   reg.add("work.done", 1);
   SnapshotPublisher::Options opt;
-  opt.json_path = dir.file("stats.json");
-  opt.openmetrics_path = dir.file("stats.om");
+  opt.json_file = dir.file("stats.json");
+  opt.openmetrics_file = dir.file("stats.om");
+  opt.manifest = make_run_manifest("test", "cmd");
   SnapshotPublisher pub(opt, reg);
   // start() never called: stop() must still leave the exit state on disk.
   pub.stop();
   EXPECT_EQ(pub.published(), 1u);
-  EXPECT_TRUE(std::filesystem::exists(opt.json_path));
-  EXPECT_TRUE(std::filesystem::exists(opt.openmetrics_path));
+  EXPECT_TRUE(std::filesystem::exists(opt.json_file));
+  EXPECT_TRUE(std::filesystem::exists(opt.openmetrics_file));
   // Idempotent: a second stop (and the destructor) publishes nothing new.
   pub.stop();
   EXPECT_EQ(pub.published(), 1u);
-  const std::string json = util::read_text_file(opt.json_path);
+  const std::string json = util::read_text_file(opt.json_file);
   EXPECT_NE(json.find("\"work.done\""), std::string::npos);
+  // The publisher stamps the manifest with the time since construction.
+  auto doc = svc::JsonValue::parse(json);
+  ASSERT_TRUE(doc.ok()) << doc.error().message;
+  const svc::JsonValue* manifest = doc.value().find("manifest");
+  ASSERT_NE(manifest, nullptr);
+  EXPECT_EQ(manifest->find("tool")->str(), "test");
+  EXPECT_GE(manifest->find("wall_seconds")->number(), 0.0);
 }
 
 TEST(SnapshotPublisher, SamplerThreadPublishesPeriodicallyAndJoins) {
@@ -159,8 +200,8 @@ TEST(SnapshotPublisher, SamplerThreadPublishesPeriodicallyAndJoins) {
   MetricsRegistry reg;
   reg.set_enabled(true);
   SnapshotPublisher::Options opt;
-  opt.json_path = dir.file("stats.json");
-  opt.openmetrics_path = dir.file("stats.om");
+  opt.json_file = dir.file("stats.json");
+  opt.openmetrics_file = dir.file("stats.om");
   opt.interval = std::chrono::milliseconds(5);
   SnapshotPublisher pub(opt, reg);
   pub.start();
@@ -171,7 +212,7 @@ TEST(SnapshotPublisher, SamplerThreadPublishesPeriodicallyAndJoins) {
   const std::uint64_t total = pub.published();
   EXPECT_GE(total, 3u);  // >= 2 periodic + 1 final
   // Snapshot seqs are monotonic; the last file on disk is the final one.
-  const std::string json = util::read_text_file(opt.json_path);
+  const std::string json = util::read_text_file(opt.json_file);
   EXPECT_NE(json.find("\"seq\":" + std::to_string(total)),
             std::string::npos);
   // Joined: no further publishes after stop.
@@ -195,8 +236,8 @@ TEST(SnapshotPublisher, RetriesTransientWriteFaults) {
         faults_left.store(0);
       });
   SnapshotPublisher::Options opt;
-  opt.json_path = dir.file("stats.json");
-  opt.openmetrics_path = dir.file("stats.om");
+  opt.json_file = dir.file("stats.json");
+  opt.openmetrics_file = dir.file("stats.om");
   opt.retry.max_attempts = 5;
   opt.retry.base_delay_ms = 0;
   SnapshotPublisher pub(opt, reg);
@@ -208,7 +249,7 @@ TEST(SnapshotPublisher, RetriesTransientWriteFaults) {
   ASSERT_NE(retries, ex.counters.end());
   EXPECT_GE(retries->second, 2);
   // The committed file is complete despite the faulted attempts.
-  const std::string json = util::read_text_file(opt.json_path);
+  const std::string json = util::read_text_file(opt.json_file);
   EXPECT_NE(json.find("\"work.done\":{\"type\":\"counter\",\"value\":5}"),
             std::string::npos);
 }
@@ -226,8 +267,8 @@ TEST(SnapshotPublisher, ExhaustedRetriesCountAsFailureNotThrow) {
           throw util::io_error("injected write fault: " + path);
       });
   SnapshotPublisher::Options opt;
-  opt.json_path = dir.file("stats.json");
-  opt.openmetrics_path = dir.file("stats.om");
+  opt.json_file = dir.file("stats.json");
+  opt.openmetrics_file = dir.file("stats.om");
   opt.retry.max_attempts = 2;
   opt.retry.base_delay_ms = 0;
   SnapshotPublisher pub(opt, reg);

@@ -5,6 +5,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -14,10 +15,17 @@
 #include "obs/metrics.hpp"
 #include "obs/progress.hpp"
 #include "obs/trace.hpp"
+#include "svc/jsonv.hpp"
 #include "util/check.hpp"
 
 namespace rota::obs {
 namespace {
+
+/// True when `text` is one complete JSON document under the repo's strict
+/// reader (svc::JsonValue), which every emitted envelope must satisfy.
+bool parses(std::string_view text) {
+  return svc::JsonValue::parse(text).ok();
+}
 
 // ----------------------------------------------------------------- json ----
 
@@ -32,25 +40,8 @@ TEST(Json, EscapeHandlesQuotesBackslashesAndControls) {
 TEST(Json, NumberRendersNonFiniteAsNull) {
   EXPECT_EQ(json_number(std::numeric_limits<double>::infinity()), "null");
   EXPECT_EQ(json_number(std::numeric_limits<double>::quiet_NaN()), "null");
-  EXPECT_TRUE(json_valid(json_number(0.1)));
-  EXPECT_TRUE(json_valid(json_number(-3e-9)));
-}
-
-TEST(Json, ValidatorAcceptsWellFormedDocuments) {
-  EXPECT_TRUE(json_valid("{}"));
-  EXPECT_TRUE(json_valid("[]"));
-  EXPECT_TRUE(json_valid(R"({"a": [1, 2.5, -3e4], "b": {"c": null},)"
-                         R"( "d": "x\ny", "e": true})"));
-}
-
-TEST(Json, ValidatorRejectsMalformedDocuments) {
-  EXPECT_FALSE(json_valid(""));
-  EXPECT_FALSE(json_valid("{"));
-  EXPECT_FALSE(json_valid("{} trailing"));
-  EXPECT_FALSE(json_valid("{'single': 1}"));
-  EXPECT_FALSE(json_valid("[1,]"));
-  EXPECT_FALSE(json_valid("{\"a\":}"));
-  EXPECT_FALSE(json_valid("nan"));
+  EXPECT_TRUE(parses(json_number(0.1)));
+  EXPECT_TRUE(parses(json_number(-3e-9)));
 }
 
 // -------------------------------------------------------------- metrics ----
@@ -102,7 +93,7 @@ TEST(Metrics, JsonIsValidAndCarriesTypes) {
   reg.gauge("rate", 12.5);
   reg.observe("seconds", 0.25);
   const std::string json = reg.json();
-  EXPECT_TRUE(json_valid(json)) << json;
+  EXPECT_TRUE(parses(json)) << json;
   EXPECT_NE(json.find("\"mapper.layers\""), std::string::npos);
   EXPECT_NE(json.find("\"counter\""), std::string::npos);
   EXPECT_NE(json.find("\"gauge\""), std::string::npos);
@@ -165,7 +156,7 @@ TEST(Metrics, ConcurrentHammerIsDataRaceFree) {
   threads.emplace_back([&reg] {
     for (int i = 0; i < 200; ++i) {
       const std::string snapshot = reg.json();
-      ASSERT_TRUE(json_valid(snapshot));
+      ASSERT_TRUE(parses(snapshot));
     }
   });
   threads.emplace_back([&reg] {
@@ -202,7 +193,7 @@ TEST(Trace, SpansProduceValidChromeTraceJson) {
   EXPECT_EQ(tracer.event_count(), 3u);
 
   const std::string json = tracer.json();
-  EXPECT_TRUE(json_valid(json)) << json;
+  EXPECT_TRUE(parses(json)) << json;
   // Perfetto essentials in the versioned object form: the schema_version
   // envelope wrapping a traceEvents array, process metadata first,
   // complete events with ts+dur, instant with a scope.
@@ -259,7 +250,7 @@ TEST(Trace, WriteFileRoundTrips) {
   std::ifstream in(path);
   std::stringstream buf;
   buf << in.rdbuf();
-  EXPECT_TRUE(json_valid(buf.str()));
+  EXPECT_TRUE(parses(buf.str()));
   std::remove(path.c_str());
 }
 
@@ -278,7 +269,7 @@ TEST(Manifest, ToJsonCarriesEveryField) {
   m.extra["spares"] = "0";
 
   const std::string json = m.to_json();
-  EXPECT_TRUE(json_valid(json)) << json;
+  EXPECT_TRUE(parses(json)) << json;
   for (const char* key :
        {"\"tool\"", "\"command\"", "\"workload\"", "\"policy\"", "\"metric\"",
         "\"array_width\"", "\"array_height\"", "\"iterations\"", "\"seed\"",
@@ -299,21 +290,6 @@ TEST(Manifest, RecordsTheHost) {
   EXPECT_EQ(m.extra.at("host.cores"),
             std::to_string(std::thread::hardware_concurrency()));
   EXPECT_FALSE(m.extra.at("host.cpu_model").empty());
-}
-
-TEST(Manifest, MetricsReportJsonHasManifestAndMetrics) {
-  MetricsRegistry reg;
-  reg.set_enabled(true);
-  reg.add("n", 5);
-  const RunManifest m = make_run_manifest("test", "cmd");
-  const std::string report = metrics_report_json(m, reg);
-  EXPECT_TRUE(json_valid(report)) << report;
-  EXPECT_NE(report.find("\"schema_version\":" +
-                        std::to_string(kSchemaVersion)),
-            std::string::npos);
-  EXPECT_NE(report.find("\"manifest\""), std::string::npos);
-  EXPECT_NE(report.find("\"metrics\""), std::string::npos);
-  EXPECT_NE(report.find("\"n\""), std::string::npos);
 }
 
 // ----------------------------------------------------------- build info ----

@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <future>
@@ -10,6 +11,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "arch/config.hpp"
@@ -21,6 +23,7 @@
 #include "svc/engine.hpp"
 #include "svc/jsonv.hpp"
 #include "svc/request.hpp"
+#include "util/io.hpp"
 #include "util/result.hpp"
 
 namespace rota::svc {
@@ -121,6 +124,16 @@ TEST(SvcJson, ParsesTheProtocolSubset) {
   ASSERT_TRUE(v.find("arr")->is_array());
   EXPECT_EQ(v.find("arr")->array().size(), 3u);
   EXPECT_EQ(v.find("absent"), nullptr);
+  // Empty containers, whitespace between tokens and nested values.
+  for (std::string_view text : {"{}", "[]", " [ ] "}) {
+    EXPECT_TRUE(JsonValue::parse(text).ok()) << text;
+  }
+  auto nested = JsonValue::parse(
+      R"({"a": [1, 2.5, -3e4], "b": {"c": null}, "d": "x\ny", "e": true})");
+  ASSERT_TRUE(nested.ok());
+  EXPECT_DOUBLE_EQ(nested.value().find("a")->array()[2].number(), -3e4);
+  EXPECT_TRUE(nested.value().find("b")->find("c")->is_null());
+  EXPECT_EQ(nested.value().find("d")->str(), "x\ny");
 }
 
 TEST(SvcJson, RejectsGarbageWithoutThrowing) {
@@ -129,6 +142,10 @@ TEST(SvcJson, RejectsGarbageWithoutThrowing) {
   EXPECT_FALSE(JsonValue::parse("{\"a\":1} trailing").ok());
   EXPECT_FALSE(JsonValue::parse("{'a':1}").ok());
   EXPECT_FALSE(JsonValue::parse("{\"a\":01}").ok());
+  for (std::string_view text :
+       {"{} trailing", "{'single': 1}", "[1,]", "{\"a\":}", "nan"}) {
+    EXPECT_FALSE(JsonValue::parse(text).ok()) << text;
+  }
   // Nesting past max_depth is refused, not stack-overflowed.
   std::string deep(100, '[');
   deep += std::string(100, ']');
@@ -600,22 +617,37 @@ TEST(EngineTest, CancelledRequestsAnswerWithoutExecuting) {
 }
 
 TEST(EngineTest, QueuedDeadlineExpiryIsStructured) {
+  // The doomed request must queue behind work the test holds: the first
+  // request's disk-cache write blocks in the I/O hook until the test has
+  // slept past the doomed request's deadline. A merely slow first request
+  // is not enough: the submitting thread can be descheduled for the whole
+  // few-ms schedule before it submits the second one.
+  const TempDir dir;
+  std::promise<void> release;
+  const std::shared_future<void> released = release.get_future().share();
+  std::atomic<bool> held{false};
+  util::set_io_fault_hook(
+      [&](util::IoOp op, const std::string& /*path*/, std::string* /*data*/) {
+        if (op == util::IoOp::kWrite && !held.exchange(true)) released.wait();
+      });
+  struct HookReset {
+    ~HookReset() { util::set_io_fault_hook(nullptr); }
+  } hook_reset;
   EngineOptions options;
-  options.threads = 1;  // serial lanes: the heavy job blocks the queue
+  options.threads = 1;  // serial lanes: the held job blocks the queue
+  options.cache.disk_dir = dir.path.string();
   Engine engine(options);
-  // A cold YOLOv3 schedule takes far longer than 1 ms, so the second
-  // request always expires while queued behind it.
-  Request heavy = quick_request("h", RequestOp::kSchedule);
-  heavy.workload = "YL";
-  heavy.array_width = 14;
-  heavy.array_height = 12;
-  auto heavy_future = engine.submit(std::move(heavy));
+  auto held_future = engine.submit(quick_request("h", RequestOp::kSchedule));
   Request doomed = quick_request("d", RequestOp::kLifetime);
   doomed.deadline_ms = 1;
-  const Response late = engine.submit(std::move(doomed)).get();
+  auto late_future = engine.submit(std::move(doomed));
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  release.set_value();
+  const Response late = late_future.get();
   EXPECT_FALSE(late.ok);
   EXPECT_EQ(late.error.code, ErrorCode::kDeadlineExceeded);
-  EXPECT_TRUE(heavy_future.get().ok);
+  EXPECT_TRUE(held_future.get().ok);
+  EXPECT_TRUE(held.load()) << "the first request never reached the hook";
 }
 
 TEST(EngineTest, ShutdownDrainsThenRefuses) {

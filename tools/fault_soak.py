@@ -20,7 +20,7 @@ Pass criteria, all hard assertions:
   * replies are bit-identical across all three sessions once the
     nondeterministic `wall_seconds` timing field is stripped — the
     cache may lose work under faults, never invent it;
-  * the faulty sessions' metrics JSON shows the faults actually fired
+  * the faulty sessions' exit snapshots show the faults actually fired
     (fi.* counters nonzero) and the hardening actually engaged
     (svc.cache.* retry/corrupt-recompute counters nonzero);
   * a faulted session run with --stats-interval publishes live
@@ -61,7 +61,7 @@ import check_openmetrics  # noqa: E402  (sibling tool, reused as library)
 SCHEMA_VERSION = 2
 
 # Scoping substring for ROTA_FI `match=`: faults hit only the schedule
-# cache, not the metrics/trace artifacts this script must read back.
+# cache, not the stats/events artifacts this script must read back.
 CACHE_DIR_NAME = "soak-schedule-cache"
 
 FAULT_PLAN = (
@@ -110,16 +110,20 @@ def serve(
     fault_plan: str | None,
     extra_flags: list[str] | None = None,
 ) -> tuple[list[str], dict]:
-    """One serve session; returns (reply lines sans wall_seconds, metrics)."""
+    """One serve session; returns (reply lines sans wall_seconds, metrics).
+
+    The metrics come from the exit snapshot `<workdir>/<tag>/stats.json`
+    (with its OpenMetrics twin `stats.om`) that --stats-out leaves behind.
+    """
     cache_dir = os.path.join(workdir, tag, CACHE_DIR_NAME)
-    metrics_path = os.path.join(workdir, tag, "metrics.json")
-    os.makedirs(os.path.dirname(metrics_path), exist_ok=True)
+    stats_path = os.path.join(workdir, tag, "stats.json")
+    os.makedirs(os.path.dirname(stats_path), exist_ok=True)
     env = dict(os.environ)
     env.pop("ROTA_FI", None)
     if fault_plan is not None:
         env["ROTA_FI"] = fault_plan
     proc = subprocess.run(
-        [rota, "serve", "--cache-dir", cache_dir, "--metrics", metrics_path]
+        [rota, "serve", "--cache-dir", cache_dir, "--stats-out", stats_path]
         + (extra_flags or []),
         input=batch,
         capture_output=True,
@@ -136,8 +140,8 @@ def serve(
         assert reply.get("schema_version") == SCHEMA_VERSION, reply
         reply.pop("wall_seconds", None)
         replies.append(json.dumps(reply, sort_keys=True))
-    doc = json.load(open(metrics_path))
-    assert doc.get("schema_version") == SCHEMA_VERSION, metrics_path
+    doc = json.load(open(stats_path))
+    assert doc.get("schema_version") == SCHEMA_VERSION, stats_path
     return replies, doc["metrics"]
 
 
@@ -176,7 +180,6 @@ def check_live_telemetry(rota: str, workdir: str, batch: str) -> int:
         stats_batch,
         FAULT_PLAN,
         [
-            "--stats-out", stats_json,
             "--stats-interval", "25",
             "--events", events_path,
         ],
@@ -384,18 +387,13 @@ def main() -> None:
         shed_stats = os.path.join(workdir, "shed", "stats.json")
         replies, shed_metrics = serve(
             rota, workdir, "shed", shed_batch, None,
-            ["--queue-cap", "1", "--stats-out", shed_stats],
+            ["--queue-cap", "1"],
         )
         assert len(replies) == 8, "shed: every request must be answered"
         overloaded = sum(1 for r in replies if '"overloaded"' in r)
         assert overloaded >= 1, "queue-cap 1 under 8 slow requests never shed"
+        # The shed counter is visible in the exit snapshot twins.
         assert counter(shed_metrics, "svc.requests_shed") == overloaded
-        # The shed counter is also visible in the exit snapshot twins.
-        shed_snapshot = json.load(open(shed_stats))
-        assert (
-            counter(shed_snapshot["metrics"], "svc.requests_shed")
-            == overloaded
-        ), shed_snapshot
         errors = check_openmetrics.validate(
             open(shed_stats[: -len(".json")] + ".om").read(),
             open(shed_stats).read(),
