@@ -2,11 +2,11 @@
 /// The paper's lifetime model assumes every PE survives until wear-out;
 /// this bench kills PEs mid-run (Weibull-sampled fault times, seeded) and
 /// routes their work through the spare pool, running the degrade engine
-/// in its fault-oblivious mode (`rota inject`). It reports, per fault
-/// burden and spare-pool size, how much work the spares absorb, how much
-/// is lost once the pool exhausts, and the residual MTTF relative to the
-/// fault-free array — zero once an un-spared fault has ended correct
-/// service (the serial-chain reading, Eq. 2).
+/// in its fault-oblivious mode (`rota degrade --oblivious`). It reports,
+/// per fault burden and spare-pool size, how much work the spares absorb,
+/// how much is lost once the pool exhausts, and the residual MTTF
+/// relative to the fault-free array — zero once an un-spared fault has
+/// ended correct service (the serial-chain reading, Eq. 2).
 
 #include <iostream>
 

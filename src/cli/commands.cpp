@@ -20,6 +20,7 @@
 #include "svc/engine.hpp"
 #include "obs/build_info.hpp"
 #include "obs/event_log.hpp"
+#include "obs/json.hpp"
 #include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
 #include "obs/progress.hpp"
@@ -516,14 +517,6 @@ int cmd_degrade(const Options& opt, std::ostream& out) {
   return 0;
 }
 
-int cmd_inject(const Options& opt, std::ostream& out) {
-  // inject is degrade's fault-oblivious mode; --resched selects the full
-  // repair-and-reschedule loop under the same faults and pool.
-  Options degrade = opt;
-  degrade.oblivious = !opt.resched;
-  return cmd_degrade(degrade, out);
-}
-
 int cmd_sweep(const Options& opt, std::ostream& out) {
   const std::vector<nn::Network> nets = nn::all_workloads();
   const std::vector<wear::PolicyKind> policies = {
@@ -714,6 +707,9 @@ int cmd_mc(const Options& opt, std::ostream& out) {
   return 0;
 }
 
+/// The reproducibility stamp of one CLI invocation (defined below).
+obs::RunManifest cli_manifest(const Options& options);
+
 int cmd_pareto(const Options& opt, std::ostream& out) {
   const nn::Network net = nn::workload_by_abbr(opt.workload);
   const arch::AcceleratorConfig accel = accel_of(opt);
@@ -770,13 +766,8 @@ int cmd_pareto(const Options& opt, std::ostream& out) {
   }
 
   if (!opt.json_out_path.empty()) {
-    obs::RunManifest manifest =
-        obs::make_run_manifest("rota", opt.raw_args);
+    obs::RunManifest manifest = cli_manifest(opt);
     manifest.workload = net.abbr();
-    manifest.array_width = opt.array_width;
-    manifest.array_height = opt.array_height;
-    manifest.extra["objective.id"] = objective.id();
-    manifest.extra["objective.weights"] = objective.weights_csv();
     manifest.extra["array_state.digest"] = front.array_digest;
     std::ostringstream js;
     js << "{\"schema_version\":" << obs::kSchemaVersion
@@ -834,8 +825,6 @@ int dispatch(const Options& options, std::istream& in, std::ostream& out) {
       return cmd_thermal(options, out);
     case Verb::kServe:
       return cmd_serve(options, in, out);
-    case Verb::kInject:
-      return cmd_inject(options, out);
     case Verb::kSweep:
       return cmd_sweep(options, out);
     case Verb::kMc:
@@ -849,7 +838,7 @@ int dispatch(const Options& options, std::istream& in, std::ostream& out) {
 }
 
 /// The reproducibility stamp of one CLI invocation, as carried by the
-/// `--stats-out` envelope.
+/// `--stats-out` envelope and `rota pareto --json`.
 obs::RunManifest cli_manifest(const Options& options) {
   obs::RunManifest manifest = obs::make_run_manifest("rota", options.raw_args);
   manifest.workload = options.workload;
@@ -883,7 +872,7 @@ obs::RunManifest cli_manifest(const Options& options) {
   // the user's spelling when it parses — a bad spec fails in dispatch
   // with the full error message).
   if (options.verb == Verb::kSchedule || options.verb == Verb::kPareto ||
-      options.verb == Verb::kDegrade || options.verb == Verb::kInject) {
+      options.verb == Verb::kDegrade) {
     if (auto spec = sched::parse_objective(options.objective); spec.ok()) {
       manifest.extra["objective.id"] = spec.value().id();
       manifest.extra["objective.weights"] = spec.value().weights_csv();

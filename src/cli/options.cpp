@@ -58,7 +58,7 @@ constexpr std::string_view kAllFlags[] = {
     "--verbose", "--cache-dir", "--cache-cap", "--batch", "--queue-cap",
     "--fault",   "--checkpoint", "--trials",  "--objective", "--json",
     "--stats-out", "--stats-interval", "--events",
-    "--oblivious", "--resched", "--retire", "--ckpt-every"};
+    "--oblivious", "--retire", "--ckpt-every"};
 
 /// The observability flags every working verb owns.
 constexpr std::string_view kObsFlags[] = {
@@ -98,12 +98,6 @@ std::vector<std::string_view> owned_flags(Verb verb) {
       // Geometry travels inside each request, not on the command line.
       flags = {"--threads", "--cache-dir", "--cache-cap", "--batch",
                "--queue-cap"};
-      break;
-    case Verb::kInject:
-      // inject is degrade --oblivious with a shorter flag set; --resched
-      // selects the fault-aware repair-and-reschedule loop instead.
-      flags = {"--array", "--iters", "--spares", "--policy", "--seed",
-               "--fault", "--threads", "--resched", "--objective"};
       break;
     case Verb::kSweep:
       // No workload argument: sweep always covers the whole Table II zoo.
@@ -161,8 +155,6 @@ std::string verb_name(Verb verb) {
       return "thermal";
     case Verb::kServe:
       return "serve";
-    case Verb::kInject:
-      return "inject";
     case Verb::kSweep:
       return "sweep";
     case Verb::kMc:
@@ -223,8 +215,6 @@ Options parse(const std::vector<std::string>& args) {
     opt.verb = Verb::kThermal;
   } else if (verb == "serve") {
     opt.verb = Verb::kServe;
-  } else if (verb == "inject") {
-    opt.verb = Verb::kInject;
   } else if (verb == "sweep") {
     opt.verb = Verb::kSweep;
   } else if (verb == "mc") {
@@ -237,10 +227,8 @@ Options parse(const std::vector<std::string>& args) {
     ROTA_REQUIRE(false, "unknown command '" + verb + "'\n" + usage());
   }
 
-  // inject and degrade route faulted work through the spare pool, so
-  // their default pool is non-empty (lifetime keeps 0 = the plain Eq. 3
-  // array). inject keeps the global 1000-iteration default.
-  if (opt.verb == Verb::kInject) opt.spares = 4;
+  // degrade routes faulted work through the spare pool, so its default
+  // pool is non-empty (lifetime keeps 0 = the plain Eq. 3 array).
   if (opt.verb == Verb::kDegrade) {
     opt.spares = 4;
     opt.iterations = 512;
@@ -249,7 +237,7 @@ Options parse(const std::vector<std::string>& args) {
   const bool wants_workload =
       opt.verb == Verb::kSchedule || opt.verb == Verb::kWear ||
       opt.verb == Verb::kLifetime || opt.verb == Verb::kThermal ||
-      opt.verb == Verb::kInject || opt.verb == Verb::kMc ||
+      opt.verb == Verb::kMc ||
       opt.verb == Verb::kPareto || opt.verb == Verb::kDegrade;
   std::size_t i = 1;
   if (wants_workload && args.size() > 1 && args[1].rfind("--", 0) != 0) {
@@ -341,8 +329,6 @@ Options parse(const std::vector<std::string>& args) {
       ROTA_REQUIRE(!opt.json_out_path.empty(), "--json needs a file path");
     } else if (flag == "--oblivious") {
       opt.oblivious = true;
-    } else if (flag == "--resched") {
-      opt.resched = true;
     } else if (flag == "--retire") {
       opt.retire_fraction = parse_fraction(value_of(flag), flag);
     } else if (flag == "--ckpt-every") {
@@ -427,18 +413,6 @@ std::string usage() {
       "    --batch N               flush replies at least every N requests\n"
       "    --queue-cap N           shed requests beyond N queued (default\n"
       "                            0 = unbounded)\n"
-      "  inject <abbr>             kill PEs mid-run and route their work\n"
-      "                            through the spare pool: the same run\n"
-      "                            and output as degrade --oblivious\n"
-      "    --array WxH  --iters N  geometry / inference iterations\n"
-      "    --spares N              spare-pool size (default 4)\n"
-      "    --policy NAME           wear policy driven during the run\n"
-      "    --fault SPEC            repeatable; pe=U,V@ITER[+K] |\n"
-      "                            rank=R@ITER | weibull=N\n"
-      "    --resched               fault-aware repair-and-reschedule (as\n"
-      "                            degrade without --oblivious)\n"
-      "    --objective SPEC        mapper objective for every (re)schedule\n"
-      "    --seed N  --threads N   weibull sampling seed / worker lanes\n"
       "  degrade <abbr>            degraded-mode lifetime: in-run faults,\n"
       "                            live spare remapping, fault-aware\n"
       "                            rescheduling and masked wear rotation;\n"

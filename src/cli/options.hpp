@@ -32,7 +32,6 @@ enum class Verb {
   kArea,       ///< area breakdown and torus overhead
   kThermal,    ///< temperature fields and Arrhenius-coupled lifetime
   kServe,      ///< JSON-lines batch service on stdin/stdout (rota::svc)
-  kInject,     ///< spelling of degrade --oblivious (rota::fi)
   kSweep,      ///< full workload x policy sweep to CSV, checkpointable
   kMc,         ///< Monte-Carlo MTTF of one workload+policy, checkpointable
   kPareto,     ///< per-layer Pareto fronts over (energy, MTTF, cycles)
@@ -71,12 +70,11 @@ struct Options {
   std::int64_t cache_capacity = 4096;  ///< in-memory schedule-cache entries
   std::int64_t max_batch = 64;  ///< flush replies at least this often
   std::int64_t queue_cap = 0;   ///< shed beyond this queue depth (0 = off)
-  // inject / sweep / mc / degrade (see src/fi/):
+  // sweep / mc / degrade (see src/fi/):
   std::vector<std::string> faults;  ///< --fault specs, unparsed (repeatable)
   std::string checkpoint_path;      ///< checkpoint/resume file ("" = off)
   std::int64_t trials = 100000;     ///< mc: Monte-Carlo trials
   bool oblivious = false;  ///< degrade: fail-stop baseline (no repair loop)
-  bool resched = false;    ///< inject: fault-aware mode instead
   double retire_fraction = 0.75;  ///< degrade: retire below this live share
   std::int64_t checkpoint_every = 64;  ///< degrade: autosave cadence (iters)
   // Observability (see src/obs/): every verb accepts these.
@@ -91,10 +89,9 @@ struct Options {
 
 /// Parse argv (excluding argv[0]).
 /// Verbs: workloads | schedule | wear | lifetime | area | thermal |
-/// serve | inject | sweep | mc | pareto | version | help. Each verb
-/// accepts only
-/// the flags it owns (see
-/// usage()); a flag that exists but belongs to a different verb produces
+/// serve | sweep | mc | pareto | degrade | version | help. Each verb
+/// accepts only the flags it owns (see usage()); a flag that exists but
+/// belongs to a different verb produces
 /// "option --X is not accepted by 'rota <verb>'", a flag that exists
 /// nowhere produces "unknown option". Throws util::precondition_error on
 /// any parse failure.

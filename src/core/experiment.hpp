@@ -52,8 +52,7 @@ struct ExperimentResult {
   std::vector<PolicyRun> runs;
 
   /// The run for a given policy, or nullptr if the policy was not part of
-  /// this experiment. The non-throwing lookup used by the v1 API and the
-  /// service layer.
+  /// this experiment. The non-throwing lookup used by the service layer.
   [[nodiscard]] const PolicyRun* find_run(wear::PolicyKind kind) const noexcept;
 
   /// Relative lifetime improvement of `kind` over the baseline run

@@ -12,9 +12,10 @@
 /// The static reading of a hardware fault plan: which PEs a plan leaves
 /// dead before any run, as the sched::ArrayState the fault-aware mapper
 /// consumes. The runtime reading — faults striking mid-run, work routed
-/// through the spare pool — is fi::run_degraded_lifetime (degrade.hpp);
-/// `rota inject` is its fault-oblivious mode. Both readings share one set
-/// of fault-selection rules (defined in degrade.cpp).
+/// through the spare pool — is fi::run_degraded_lifetime (degrade.hpp),
+/// which `rota degrade` runs (`--oblivious`: its fault-oblivious mode).
+/// Both readings share one set of fault-selection rules (defined in
+/// degrade.cpp).
 
 namespace rota::fi {
 

@@ -15,7 +15,7 @@ namespace rota::obs {
 /// Version of every JSON envelope this repo emits or accepts: the
 /// metrics snapshot (`--stats-out`, svc `stats`), BENCH_perf.json, the
 /// trace envelope and the svc request/reply protocol. Unversioned
-/// envelopes from before the v1 API redesign are retroactively version 1;
+/// envelopes from before versioning are retroactively version 1;
 /// bump this whenever any envelope's layout changes so downstream tooling
 /// (tools/bench_compare.py, CI smoke checks, svc clients) fails loudly on
 /// drift instead of misreading fields.

@@ -11,10 +11,24 @@
 
 namespace rota::obs {
 
-double process_uptime_seconds() {
+namespace {
+
+std::chrono::steady_clock::time_point process_start() {
   static const std::chrono::steady_clock::time_point anchor =
       std::chrono::steady_clock::now();
-  const auto elapsed = std::chrono::steady_clock::now() - anchor;
+  return anchor;
+}
+
+// Read the anchor during static initialisation, so uptime counts from
+// process start and not from the first snapshot (which, in exit-only
+// mode, is the exit capture itself).
+[[maybe_unused]] const std::chrono::steady_clock::time_point
+    kProcessStartAnchor = process_start();
+
+}  // namespace
+
+double process_uptime_seconds() {
+  const auto elapsed = std::chrono::steady_clock::now() - process_start();
   return std::chrono::duration_cast<std::chrono::duration<double>>(elapsed)
       .count();
 }
@@ -139,12 +153,16 @@ void SnapshotPublisher::run() {
 bool SnapshotPublisher::publish_now() {
   const std::uint64_t seq =
       next_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
+  // Read the run's wall time before the uptime capture: both use the
+  // steady clock and the uptime anchor predates start_, so uptime_seconds
+  // is never below the manifest's wall_seconds.
+  const double wall_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start_)
+          .count();
   MetricsSnapshot snap = capture_snapshot(registry_, seq);
   if (options_.manifest) {
     snap.manifest = options_.manifest;
-    snap.manifest->wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start_)
-            .count();
+    snap.manifest->wall_seconds = wall_seconds;
   }
   const std::string json = snapshot_json(snap);
   const std::string om = snapshot_openmetrics(snap);

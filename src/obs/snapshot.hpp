@@ -34,10 +34,8 @@ struct MetricsSnapshot {
   MetricsExport metrics;
 };
 
-/// Steady-clock seconds since the first call in this process (the anchor
-/// is a function-local static, so "uptime" means time since observability
-/// first looked, which for armed runs is process start for all practical
-/// purposes).
+/// Steady-clock seconds since process start (the anchor is taken during
+/// static initialisation of the obs library, before main()).
 [[nodiscard]] double process_uptime_seconds();
 
 /// Capture the registry now (single lock acquisition; see

@@ -32,7 +32,10 @@ void parallel_for(std::int64_t count, int threads, const Body& body) {
   if (count <= 0) return;
   const std::size_t lanes = resolve_threads(threads);
   if (lanes <= 1 || count == 1) {
-    for (std::int64_t i = 0; i < count; ++i) body(i);
+    for (std::int64_t i = 0; i < count; ++i) {
+      run_worker_fault_hook();
+      body(i);
+    }
     return;
   }
   ThreadPool::shared().run_batch(
@@ -54,6 +57,7 @@ template <typename T, typename ChunkFn, typename CombineFn>
   const std::size_t lanes = resolve_threads(threads);
   if (lanes <= 1 || chunk_count == 1) {
     for (std::int64_t c = 0; c < chunk_count; ++c) {
+      run_worker_fault_hook();
       acc = combine(std::move(acc), chunk(c));
     }
     return acc;

@@ -33,7 +33,9 @@ util::Mutex g_worker_hook_mu;
 /// NOLINTNEXTLINE(cppcoreguidelines-avoid-non-const-global-variables)
 std::function<void()> g_worker_hook ROTA_GUARDED_BY(g_worker_hook_mu);
 
-void run_worker_hook() {
+}  // namespace
+
+void run_worker_fault_hook() {
   if (!g_worker_hook_armed.load(std::memory_order_relaxed)) return;
   std::function<void()> hook;
   {
@@ -42,8 +44,6 @@ void run_worker_hook() {
   }
   if (hook) hook();
 }
-
-}  // namespace
 
 void set_worker_fault_hook(std::function<void()> hook) {
   const util::MutexLock lock(g_worker_hook_mu);
@@ -138,7 +138,7 @@ void ThreadPool::run_lane(const std::shared_ptr<BatchState>& state) {
     const auto t0 = metered ? std::chrono::steady_clock::now()
                             : std::chrono::steady_clock::time_point{};
     try {
-      run_worker_hook();
+      run_worker_fault_hook();
       state->task(i);
     } catch (...) {
       err = std::current_exception();
@@ -181,7 +181,7 @@ void ThreadPool::run_batch(std::size_t task_count,
   if (lanes <= 1 || on_worker_thread()) {
     if (on_worker_thread() && reg.enabled()) reg.add("par.nested_serial");
     for (std::size_t i = 0; i < task_count; ++i) {
-      run_worker_hook();
+      run_worker_fault_hook();
       task(i);
       if (reg.enabled()) reg.add("par.tasks_executed");
     }

@@ -38,16 +38,20 @@ namespace rota::par {
 [[nodiscard]] std::size_t resolve_threads(int requested);
 
 /// Fault-injection seam (installed by fi::Hooks, unset in production):
-/// when set, the hook runs at the top of every pool task, so src/fi can
-/// model slow or stalled workers (sleeps) without the pool knowing about
-/// the fi layer. Determinism is unaffected — a stalled worker only delays
-/// its lane, results still land in caller-indexed slots. Install before
-/// spawning work and clear after joining it; the unarmed cost is one
-/// relaxed atomic load per task.
+/// when set, the hook runs at the top of every task — pool lane or inline
+/// (parallel.hpp's serial path included) — so src/fi can model slow or
+/// stalled workers (sleeps) at any thread count without the pool knowing
+/// about the fi layer. Determinism is unaffected — a stalled worker only
+/// delays its lane, results still land in caller-indexed slots. Install
+/// before spawning work and clear after joining it; the unarmed cost is
+/// one relaxed atomic load per task.
 void set_worker_fault_hook(std::function<void()> hook);
 
 /// True when a worker fault hook is installed.
 [[nodiscard]] bool worker_fault_hook_armed();
+
+/// Run the installed worker fault hook, if any (see above).
+void run_worker_fault_hook();
 
 /// Fixed-size pool of worker threads executing indexed task batches.
 ///

@@ -8,13 +8,14 @@
 #include "util/check.hpp"
 
 /// \file result.hpp
-/// `Result<T>`: the non-throwing error channel of the versioned public API
-/// (`rota::api::v1`) and the service layer (`rota::svc`). The historical
+/// `Result<T>`: the non-throwing error channel of the batch service
+/// (`rota::svc`) and of the parsers it and the fault layer share (request
+/// lines, fault grammars, objectives, checkpoints, cache entries). The
 /// library surface reports contract violations by throwing
 /// util::precondition_error; a long-lived service cannot let a malformed
-/// request unwind the process, so every v1 entry point returns a
-/// Result<T> carrying either the value or a structured {code, message}
-/// error instead.
+/// request unwind the process, so those entry points return a Result<T>
+/// carrying either the value or a structured {code, message} error
+/// instead.
 ///
 /// Accessor misuse (value() on a failed Result, error() on a success) is a
 /// caller bug, not a data error, and still trips ROTA_REQUIRE — the
@@ -22,7 +23,7 @@
 
 namespace rota::util {
 
-/// Stable error taxonomy shared by api::v1 and the svc request protocol.
+/// Stable error taxonomy of the svc request protocol.
 /// Values are part of the wire format (rendered by to_string into JSON
 /// replies), so entries are append-only.
 enum class ErrorCode {

@@ -75,8 +75,7 @@ class Policy {
   /// future behaviour: two iteration boundaries with equal packed states
   /// place every later tile identically. WearSimulator::run_iterations
   /// then jumps whole iteration periods (simulator.hpp). Opting in is a
-  /// promise; the default is false, so decorators that must observe every
-  /// tile (TracingPolicy) and policies whose state never repeats
+  /// promise; the default is false, so policies whose state never repeats
   /// (RandomStart) keep literal stepping.
   [[nodiscard]] virtual bool pack_state_is_complete() const { return false; }
 

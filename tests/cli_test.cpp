@@ -36,11 +36,18 @@ TEST(CliParse, VerbsRecognized) {
 }
 
 TEST(CliParse, UnknownVerbThrowsWithUsage) {
-  try {
-    parse({"frobnicate"});
-    FAIL();
-  } catch (const precondition_error& e) {
-    EXPECT_NE(std::string(e.what()).find("usage"), std::string::npos);
+  // `inject` is no verb: the fail-stop baseline is `degrade --oblivious`.
+  for (const std::string verb : {"frobnicate", "inject"}) {
+    try {
+      parse({verb, "Sqz", "--fault", "pe=1,1@10"});
+      FAIL() << verb;
+    } catch (const precondition_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("unknown command '" + verb + "'"),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("usage"), std::string::npos);
+    }
   }
 }
 
@@ -136,26 +143,30 @@ TEST(CliParse, OptionsAreSubcommandScoped) {
 }
 
 TEST(CliParse, FaultToolingVerbsRecognized) {
-  EXPECT_EQ(parse({"inject", "Sqz", "--fault", "pe=1,1@10"}).verb,
-            Verb::kInject);
+  EXPECT_EQ(parse({"degrade", "Sqz", "--fault", "pe=1,1@10"}).verb,
+            Verb::kDegrade);
   EXPECT_EQ(parse({"sweep"}).verb, Verb::kSweep);
   EXPECT_EQ(parse({"mc", "Sqz"}).verb, Verb::kMc);
 }
 
-TEST(CliParse, InjectFlagsAndDefaults) {
-  const Options o = parse({"inject", "Sqz", "--fault", "pe=1,1@10",
+TEST(CliParse, DegradeFlagsAndDefaults) {
+  const Options o = parse({"degrade", "Sqz", "--fault", "pe=1,1@10",
                            "--fault", "rank=0@500", "--seed", "7"});
-  EXPECT_EQ(o.verb, Verb::kInject);
+  EXPECT_EQ(o.verb, Verb::kDegrade);
   EXPECT_EQ(o.workload, "Sqz");
   ASSERT_EQ(o.faults.size(), 2u);
   EXPECT_EQ(o.faults[0], "pe=1,1@10");
   EXPECT_EQ(o.faults[1], "rank=0@500");
-  // inject defaults to a small spare pool; lifetime keeps zero spares.
+  // degrade defaults to a small spare pool and a 512-iteration horizon;
+  // lifetime keeps zero spares.
   EXPECT_EQ(o.spares, 4);
+  EXPECT_EQ(o.iterations, 512);
+  EXPECT_FALSE(o.oblivious);
   EXPECT_EQ(parse({"lifetime", "Sqz"}).spares, 0);
-  EXPECT_EQ(parse({"inject", "Sqz", "--spares", "0"}).spares, 0);
-  // inject is per-workload: the abbreviation is mandatory.
-  EXPECT_THROW(parse({"inject"}), precondition_error);
+  EXPECT_EQ(parse({"degrade", "Sqz", "--spares", "0"}).spares, 0);
+  EXPECT_TRUE(parse({"degrade", "Sqz", "--oblivious"}).oblivious);
+  // degrade is per-workload: the abbreviation is mandatory.
+  EXPECT_THROW(parse({"degrade"}), precondition_error);
 }
 
 TEST(CliParse, SweepAndMcFlags) {
@@ -176,11 +187,11 @@ TEST(CliParse, SweepAndMcFlags) {
 }
 
 TEST(CliParse, FaultFlagsAreSubcommandScoped) {
-  // --fault belongs to inject, --trials to mc, --queue-cap to serve.
+  // --fault belongs to degrade, --trials to mc, --queue-cap to serve.
   EXPECT_THROW(parse({"wear", "Sqz", "--fault", "pe=1,1@10"}),
                precondition_error);
   EXPECT_THROW(parse({"sweep", "--trials", "100"}), precondition_error);
-  EXPECT_THROW(parse({"inject", "Sqz", "--queue-cap", "4"}),
+  EXPECT_THROW(parse({"degrade", "Sqz", "--queue-cap", "4"}),
                precondition_error);
   EXPECT_THROW(parse({"sweep", "--fault", "pe=1,1@10"}), precondition_error);
   EXPECT_EQ(parse({"serve", "--queue-cap", "8"}).queue_cap, 8);
@@ -191,21 +202,25 @@ TEST(CliRun, UsageMentionsFaultTooling) {
   std::ostringstream out;
   EXPECT_EQ(run(parse({"help"}), out), 0);
   const std::string text = out.str();
-  EXPECT_NE(text.find("inject"), std::string::npos);
+  EXPECT_NE(text.find("degrade"), std::string::npos);
+  EXPECT_NE(text.find("--oblivious"), std::string::npos);
   EXPECT_NE(text.find("sweep"), std::string::npos);
   EXPECT_NE(text.find("--checkpoint"), std::string::npos);
   EXPECT_NE(text.find("SIGINT"), std::string::npos);
 }
 
-TEST(CliRun, InjectRequiresAtLeastOneFault) {
+TEST(CliRun, DegradeRequiresAtLeastOneFault) {
   std::ostringstream out;
-  EXPECT_THROW(run(parse({"inject", "Sqz"}), out), precondition_error);
+  EXPECT_THROW(run(parse({"degrade", "Sqz"}), out), precondition_error);
+  EXPECT_THROW(run(parse({"degrade", "Sqz", "--oblivious"}), out),
+               precondition_error);
 }
 
-TEST(CliRun, InjectReportsRemappingAndDegradedMttf) {
+TEST(CliRun, DegradeObliviousReportsRemappingAndDegradedMttf) {
   std::ostringstream out;
-  EXPECT_EQ(run(parse({"inject", "Sqz", "--array", "8x8", "--iters", "50",
-                       "--fault", "pe=1,1@10", "--fault", "rank=0@25"}),
+  EXPECT_EQ(run(parse({"degrade", "Sqz", "--array", "8x8", "--iters", "50",
+                       "--fault", "pe=1,1@10", "--fault", "rank=0@25",
+                       "--oblivious"}),
                 out),
             0);
   const std::string text = out.str();
@@ -214,25 +229,6 @@ TEST(CliRun, InjectReportsRemappingAndDegradedMttf) {
   EXPECT_NE(text.find("mode oblivious"), std::string::npos);
   EXPECT_NE(text.find("MTTF, fault-free profile:"), std::string::npos);
   EXPECT_NE(text.find("residual (tolerance 2):"), std::string::npos);
-}
-
-TEST(CliRun, InjectIsDegradeOblivious) {
-  const std::vector<std::string> flags = {
-      "Sqz",     "--array",   "8x8",     "--iters",   "50",
-      "--spares", "1",        "--seed",  "7",
-      "--fault", "pe=1,1@10", "--fault", "rank=0@25", "--fault", "weibull=2"};
-  std::vector<std::string> inject = {"inject"};
-  inject.insert(inject.end(), flags.begin(), flags.end());
-  std::vector<std::string> degrade = {"degrade"};
-  degrade.insert(degrade.end(), flags.begin(), flags.end());
-  degrade.push_back("--oblivious");
-  std::ostringstream inject_out;
-  std::ostringstream degrade_out;
-  EXPECT_EQ(run(parse(inject), inject_out), 0);
-  EXPECT_EQ(run(parse(degrade), degrade_out), 0);
-  EXPECT_EQ(inject_out.str(), degrade_out.str());
-  EXPECT_NE(inject_out.str().find("unmapped (pool exhausted)"),
-            std::string::npos);
 }
 
 TEST(CliParse, ServeVerbAndFlags) {
@@ -495,6 +491,10 @@ TEST(CliRun, MetricsAndTraceSinksWriteValidJson) {
   EXPECT_FALSE(manifest->find("git_sha")->str().empty());
   EXPECT_EQ(manifest->find("seed")->as_uint64().value(), 0x526f5441u);
   EXPECT_GT(manifest->find("wall_seconds")->number(), 0.0);
+  // Uptime counts from process start, so it covers the whole run even in
+  // exit-only mode (no --stats-interval).
+  EXPECT_GE(doc.value().find("uptime_seconds")->number(),
+            manifest->find("wall_seconds")->number());
   // The effective lane count: --threads 0 resolves to one lane per
   // hardware thread, and the manifest records the resolved number.
   const svc::JsonValue* threads = manifest->find("extra")->find("threads");
@@ -512,6 +512,32 @@ TEST(CliRun, MetricsAndTraceSinksWriteValidJson) {
   std::remove(stats_path.c_str());
   std::remove(om_path.c_str());
   std::remove(trace_path.c_str());
+}
+
+TEST(CliRun, ParetoJsonCarriesTheCliManifest) {
+  const std::string json_path = ::testing::TempDir() + "rota_cli_p.json";
+  std::ostringstream out;
+  EXPECT_EQ(run(parse({"pareto", "Sqz", "--threads", "0", "--objective",
+                       "lifetime", "--json", json_path}),
+                out),
+            0);
+  const std::string text = slurp(json_path);
+  auto doc = svc::JsonValue::parse(text);
+  ASSERT_TRUE(doc.ok()) << doc.error().message << "\n" << text;
+  const svc::JsonValue* manifest = doc.value().find("manifest");
+  ASSERT_NE(manifest, nullptr);
+  EXPECT_EQ(manifest->find("tool")->str(), "rota");
+  EXPECT_EQ(manifest->find("workload")->str(), "Sqz");
+  const svc::JsonValue* extra = manifest->find("extra");
+  ASSERT_NE(extra, nullptr);
+  // The same stamp as --stats-out: the resolved lane count included.
+  ASSERT_NE(extra->find("threads"), nullptr);
+  EXPECT_EQ(extra->find("threads")->str(),
+            std::to_string(par::resolve_threads(0)));
+  EXPECT_EQ(extra->find("objective.id")->str(), "lifetime");
+  EXPECT_EQ(extra->find("array_state.digest")->str(), "live");
+  EXPECT_EQ(doc.value().find("pareto")->find("array_state")->str(), "live");
+  std::remove(json_path.c_str());
 }
 
 TEST(CliRun, MetricsSinkOffLeavesGlobalsDisabled) {

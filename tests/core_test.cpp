@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
-#include "core/api_v1.hpp"
 #include "core/experiment.hpp"
 #include "nn/workloads.hpp"
-#include "obs/json.hpp"
 #include "util/check.hpp"
 
 namespace rota {
@@ -49,54 +47,6 @@ TEST(Experiment, FindRunIsNonThrowing) {
   EXPECT_EQ(base, &res.runs[0]);
   // An absent policy is a nullptr, not an exception.
   EXPECT_EQ(res.find_run(PolicyKind::kRwlRo), nullptr);
-}
-
-TEST(ApiV1, ResultsInsteadOfExceptions) {
-  namespace api = rota::api::v1;
-  static_assert(api::kSchemaVersion == obs::kSchemaVersion);
-
-  EXPECT_FALSE(api::find_workload("Zzz").ok());
-  EXPECT_EQ(api::find_workload("Zzz").error().code,
-            api::ErrorCode::kInvalidArgument);
-  auto net = api::find_workload("Sqz");
-  ASSERT_TRUE(net.ok());
-
-  ExperimentConfig cfg = quick_config();
-  auto res = api::run_experiment(cfg, net.value(),
-                                 {PolicyKind::kBaseline, PolicyKind::kRwl});
-  ASSERT_TRUE(res.ok()) << res.error().message;
-  EXPECT_EQ(res.value().network_abbr, "Sqz");
-
-  auto found = api::find_run(res.value(), PolicyKind::kRwl);
-  ASSERT_TRUE(found.ok());
-  EXPECT_EQ(found.value().kind, PolicyKind::kRwl);
-  auto absent = api::find_run(res.value(), PolicyKind::kRwlRo);
-  ASSERT_FALSE(absent.ok());
-  EXPECT_EQ(absent.error().code, api::ErrorCode::kNotFound);
-
-  auto gain = api::lifetime_improvement(res.value(), PolicyKind::kRwl);
-  ASSERT_TRUE(gain.ok());
-  EXPECT_EQ(gain.value(),
-            res.value().improvement_over_baseline(PolicyKind::kRwl));
-  EXPECT_FALSE(api::lifetime_improvement(res.value(), PolicyKind::kRwlRo)
-                   .ok());
-
-  // Data errors that the historical surface throws for come back as
-  // structured errors here.
-  ExperimentConfig broken = quick_config();
-  broken.iterations = -1;
-  EXPECT_FALSE(api::run_experiment(broken, net.value(),
-                                   {PolicyKind::kBaseline})
-                   .ok());
-  ExperimentConfig bad_geometry = quick_config();
-  bad_geometry.accel.array_width = 0;
-  auto sched_err = api::schedule_workload(bad_geometry, net.value());
-  ASSERT_FALSE(sched_err.ok());
-  EXPECT_EQ(sched_err.error().code, api::ErrorCode::kInvalidArgument);
-
-  auto sched_ok = api::schedule_workload(cfg, net.value());
-  ASSERT_TRUE(sched_ok.ok());
-  EXPECT_EQ(sched_ok.value().network_abbr, "Sqz");
 }
 
 TEST(Experiment, ImprovementRequiresBaselineRun) {
@@ -260,60 +210,6 @@ TEST(Experiment, CustomBetaPropagates) {
                                {PolicyKind::kBaseline, PolicyKind::kRwlRo});
   EXPECT_LT(res.improvement_over_baseline(PolicyKind::kRwlRo),
             res34.improvement_over_baseline(PolicyKind::kRwlRo));
-}
-
-TEST(ApiV1, ObjectiveScheduleDefaultsMatchTheHistoricalSurface) {
-  namespace api = rota::api::v1;
-  const auto net = api::find_workload("Sqz");
-  ASSERT_TRUE(net.ok());
-  const ExperimentConfig cfg = quick_config();
-  const auto base = api::schedule_workload(cfg, net.value());
-  ASSERT_TRUE(base.ok());
-  const auto objective = api::schedule_network_with_objective(
-      cfg, net.value(), sched::ObjectiveSpec{});
-  ASSERT_TRUE(objective.ok()) << objective.error().message;
-  ASSERT_EQ(objective.value().layers.size(), base.value().layers.size());
-  for (std::size_t i = 0; i < base.value().layers.size(); ++i) {
-    EXPECT_EQ(objective.value().layers[i].energy,
-              base.value().layers[i].energy);
-    EXPECT_EQ(objective.value().layers[i].cycles,
-              base.value().layers[i].cycles);
-    EXPECT_EQ(objective.value().layers[i].mapping,
-              base.value().layers[i].mapping);
-  }
-  // Data errors come back as Results here too.
-  ExperimentConfig bad = quick_config();
-  bad.accel.array_width = 0;
-  EXPECT_FALSE(api::schedule_network_with_objective(bad, net.value(),
-                                                    sched::ObjectiveSpec{})
-                   .ok());
-}
-
-TEST(ApiV1, ParetoNetworkSmoke) {
-  namespace api = rota::api::v1;
-  const auto net = api::find_workload("Sqz");
-  ASSERT_TRUE(net.ok());
-  const ExperimentConfig cfg = quick_config();
-  const auto front =
-      api::pareto_network(cfg, net.value(), sched::ObjectiveSpec::lifetime());
-  ASSERT_TRUE(front.ok()) << front.error().message;
-  EXPECT_EQ(front.value().objective, sched::ObjectiveSpec::lifetime());
-  EXPECT_EQ(front.value().array_digest, "live");
-  EXPECT_EQ(front.value().live_pes, cfg.accel.pe_count());
-  ASSERT_EQ(front.value().layers.size(), net.value().layer_count());
-  for (const auto& layer : front.value().layers) {
-    ASSERT_FALSE(layer.points.empty()) << layer.layer_name;
-    EXPECT_EQ(std::count_if(layer.points.begin(), layer.points.end(),
-                            [](const sched::ParetoPoint& p) {
-                              return p.selected;
-                            }),
-              1)
-        << layer.layer_name;
-  }
-  ExperimentConfig bad = quick_config();
-  bad.accel.array_height = 0;
-  EXPECT_FALSE(
-      api::pareto_network(bad, net.value(), sched::ObjectiveSpec{}).ok());
 }
 
 }  // namespace

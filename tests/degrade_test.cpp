@@ -600,11 +600,10 @@ TEST(DegradeCli, PoolLargerThanTheActivePesCapsTheResidualTolerance) {
   EXPECT_NE(out.find("MC cross-check: "), std::string::npos) << out;
 }
 
-TEST(DegradeCli, InjectReschedRoutesThroughTheDegradeEngine) {
+TEST(DegradeCli, AwareModeReschedulesOnceThePoolIsExhausted) {
   cli::clear_interrupt();
-  auto [rc, out] = run_cli({"inject", "AN", "--iters", "48", "--spares", "1",
-                            "--fault", "pe=5,5@10", "--fault", "pe=8,3@20",
-                            "--resched"});
+  auto [rc, out] = run_cli({"degrade", "AN", "--iters", "48", "--spares", "1",
+                            "--fault", "pe=5,5@10", "--fault", "pe=8,3@20"});
   EXPECT_EQ(rc, 0);
   EXPECT_NE(out.find("mode aware"), std::string::npos);
   EXPECT_NE(out.find("reschedule"), std::string::npos);

@@ -221,7 +221,12 @@ TEST(FiHooks, StalledWorkersRunToCompletionAndCount) {
   std::atomic<int> ran{0};
   par::parallel_for(8, 2, [&](std::int64_t) { ran.fetch_add(1); });
   EXPECT_EQ(ran.load(), 8);
-  EXPECT_GE(Hooks::counters().stalls, 1);
+  EXPECT_EQ(Hooks::counters().stalls, 8);
+  // Inline tasks stall too: one lane, and a one-task batch at any count.
+  par::parallel_for(3, 1, [&](std::int64_t) { ran.fetch_add(1); });
+  par::parallel_for(1, 4, [&](std::int64_t) { ran.fetch_add(1); });
+  EXPECT_EQ(ran.load(), 12);
+  EXPECT_EQ(Hooks::counters().stalls, 12);
 }
 
 TEST(FiHooks, AllocFaultQueryFollowsThePlan) {
@@ -401,9 +406,10 @@ TEST(FiCheckpoint, SavesSurviveInjectedIoFaultsViaRetry) {
 
 // ------------------------------------------------- hardware injection
 //
-// `rota inject` is run_degraded_lifetime in fault-oblivious mode. The
-// counts and event lines below were recorded from the per-iteration
-// injection campaign it replaced, and the engine reproduces them exactly.
+// `rota degrade --oblivious` is run_degraded_lifetime in fault-oblivious
+// mode. The counts and event lines below were recorded from the
+// per-iteration injection campaign it replaced, and the engine reproduces
+// them exactly.
 
 DegradeOptions small_inject(std::int64_t iterations, std::int64_t spares,
                             std::initializer_list<const char*> faults) {

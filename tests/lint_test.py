@@ -213,61 +213,6 @@ class SignalSafetyRule(LintCase):
         self.assert_clean()
 
 
-class ApiNoexceptRule(LintCase):
-    def test_missing_noexcept_fires(self) -> None:
-        self.write("src/core/api.hpp",
-                   "#pragma once\n"
-                   "#include <string>\n"
-                   "namespace rota::api::v1 {\n"
-                   "template <typename T> struct Result {};\n"
-                   "[[nodiscard]] Result<int> parse(const std::string& s);\n"
-                   "}  // namespace rota::api::v1\n")
-        out = self.assert_fires("api-noexcept", count=1)
-        self.assertIn("parse", out)
-
-    def test_noexcept_is_fine(self) -> None:
-        self.write("src/core/api.hpp",
-                   "#pragma once\n"
-                   "#include <string>\n"
-                   "namespace rota::api::v1 {\n"
-                   "template <typename T> struct Result {};\n"
-                   "[[nodiscard]] Result<int> parse(\n"
-                   "    const std::string& s) noexcept;\n"
-                   "}  // namespace rota::api::v1\n")
-        self.assert_clean()
-
-    def test_using_alias_ignored(self) -> None:
-        self.write("src/core/api.hpp",
-                   "#pragma once\n"
-                   "namespace rota::util {\n"
-                   "template <typename T> struct Result {};\n"
-                   "}\n"
-                   "namespace rota::api::v1 {\n"
-                   "using rota::util::Result;\n"
-                   "using IntResult = Result<int>;\n"
-                   "}  // namespace rota::api::v1\n")
-        self.assert_clean()
-
-    def test_non_api_header_ignored(self) -> None:
-        self.write("src/sched/helper.hpp",
-                   "#pragma once\n"
-                   "namespace rota::sched {\n"
-                   "template <typename T> struct Result {};\n"
-                   "Result<int> helper();\n"
-                   "}  // namespace rota::sched\n")
-        self.assert_clean()
-
-    def test_allow_escape(self) -> None:
-        self.write(
-            "src/core/api.hpp",
-            "#pragma once\n"
-            "namespace rota::api::v1 {\n"
-            "template <typename T> struct Result {};\n"
-            "Result<int> legacy();  // rota-lint: allow(api-noexcept)\n"
-            "}  // namespace rota::api::v1\n")
-        self.assert_clean()
-
-
 class SimdIsolationRule(LintCase):
     def test_immintrin_outside_kern_fires(self) -> None:
         self.write("src/wear/fast.cpp",

@@ -348,16 +348,6 @@ TEST(Spares, HomogeneousCaseMatchesBinomial) {
   }
 }
 
-TEST(Spares, MttfGrowsWithSpares) {
-  const std::vector<double> alphas(12, 1.0);
-  const double m0 = spare_array_mttf(alphas, 0);
-  const double m1 = spare_array_mttf(alphas, 1);
-  const double m3 = spare_array_mttf(alphas, 3);
-  EXPECT_NEAR(m0, array_mttf(alphas), 0.01 * m0);  // integration accuracy
-  EXPECT_GT(m1, m0);
-  EXPECT_GT(m3, m1);
-}
-
 TEST(Spares, MttfMatchesMonteCarloWithOneSpare) {
   // Cross-validate the Poisson-binomial + integration path against a
   // direct sampling estimate of the 2nd-failure time.
@@ -687,6 +677,53 @@ TEST(BitIdentity, SpareMonteCarloMatchesFullSort) {
   // The pivot path carried most trials; the comparison above is not all
   // fallback.
   EXPECT_LT(full_scans, cases * kTrials / 2);
+}
+
+TEST(Spares, MttfGrowsWithSpares) {
+  // Homogeneous, a zoo live-PE vector and a seeded heterogeneous one.
+  std::vector<Profile> profiles = {
+      {"homogeneous", std::vector<double>(12, 1.0)},
+      {"alexnet-degraded", alexnet_degraded_live_alphas()},
+      {"random", {}}};
+  util::SplitMix64 rng(2718);
+  for (int i = 0; i < 40; ++i)
+    profiles[2].alphas.push_back(0.2 + rng.next_double());
+  for (const Profile& prof : profiles) {
+    SCOPED_TRACE(prof.name);
+    const double m0 = spare_array_mttf(prof.alphas, 0);
+    EXPECT_NEAR(m0, array_mttf(prof.alphas), 0.01 * m0);  // integration
+    double prev = m0;
+    for (std::int64_t k = 1; k <= 5; ++k) {
+      const double mk = spare_array_mttf(prof.alphas, k);
+      EXPECT_GT(mk, prev) << "k=" << k;
+      prev = mk;
+    }
+  }
+}
+
+TEST(SpareMonteCarlo, ZeroSparesIsTheSerialChainEstimatorBitForBit) {
+  // With no spares the device dies at the first failure, so the spare
+  // sampler and the serial-chain sampler estimate the same minimum from
+  // the same substreams: equal to the last bit, not just within stderr.
+  std::vector<double> random;
+  util::SplitMix64 rng(31);
+  for (int i = 0; i < 64; ++i) random.push_back(0.1 + rng.next_double());
+  constexpr std::int64_t kTrials = kMonteCarloChunkTrials + 404;
+  for (const auto& alphas :
+       {std::vector<double>(12, 1.0), random, alexnet_degraded_live_alphas()}) {
+    for (const std::uint64_t seed : {std::uint64_t{1}, std::uint64_t{0x5eed},
+                                     std::uint64_t{0x6d634d54}}) {
+      SCOPED_TRACE("n=" + std::to_string(alphas.size()) +
+                   " seed=" + std::to_string(seed));
+      const MonteCarloResult chain =
+          monte_carlo_mttf(alphas, kJedecShape, 1.0, kTrials, seed);
+      const MonteCarloResult spare =
+          monte_carlo_spare_mttf(alphas, 0, kJedecShape, 1.0, kTrials, seed);
+      EXPECT_EQ(bits(chain.mttf), bits(spare.mttf));
+      EXPECT_EQ(bits(chain.stderr_), bits(spare.stderr_));
+      EXPECT_EQ(chain.trials, spare.trials);
+    }
+  }
 }
 
 TEST(SpareMonteCarlo, CertifiedBracketKeepsExactLogsPerTrialLow) {

@@ -4,7 +4,6 @@
 #include <limits>
 #include <map>
 #include <memory>
-#include <sstream>
 
 #include "arch/config.hpp"
 #include "obs/metrics.hpp"
@@ -15,7 +14,6 @@
 #include "wear/masked_policy.hpp"
 #include "wear/policy.hpp"
 #include "wear/rwl_math.hpp"
-#include "wear/trace.hpp"
 #include "wear/simulator.hpp"
 #include "wear/usage_tracker.hpp"
 
@@ -713,101 +711,6 @@ TEST(RwlBounds, Eq9AndEq10HoldOnRandomConfigs) {
   }
 }
 
-// ---------------------------------------------------------------- trace ----
-
-TEST(Trace, RecordsEveryPlacementInOrder) {
-  auto traced = std::make_unique<TracingPolicy>(
-      make_policy(PolicyKind::kRwlRo, 14, 12));
-  const sched::UtilSpace space{8, 8};
-  traced->begin_layer(space);
-  for (int i = 0; i < 5; ++i) traced->next_origin(space);
-  const auto& recs = traced->records();
-  ASSERT_EQ(recs.size(), 5u);
-  const std::int64_t expected_u[] = {0, 8, 2, 10, 4};
-  for (std::size_t i = 0; i < recs.size(); ++i) {
-    EXPECT_EQ(recs[i].tile_index, static_cast<std::int64_t>(i));
-    EXPECT_EQ(recs[i].layer_index, 0);
-    EXPECT_EQ(recs[i].u, expected_u[i]);
-    EXPECT_EQ(recs[i].v, 0);
-    EXPECT_EQ(recs[i].x, 8);
-  }
-}
-
-TEST(Trace, LayerIndexAdvancesWithBeginLayer) {
-  auto traced = std::make_unique<TracingPolicy>(
-      make_policy(PolicyKind::kBaseline, 14, 12));
-  const sched::UtilSpace space{3, 3};
-  traced->begin_layer(space);
-  traced->next_origin(space);
-  traced->begin_layer(space);
-  traced->next_origin(space);
-  ASSERT_EQ(traced->records().size(), 2u);
-  EXPECT_EQ(traced->records()[0].layer_index, 0);
-  EXPECT_EQ(traced->records()[1].layer_index, 1);
-}
-
-TEST(Trace, TracedSimulationMatchesUntracedUsage) {
-  // Tracing disables the fast path but must not change behavior.
-  sched::NetworkSchedule ns;
-  ns.config = arch::rota_like();
-  ns.layers.push_back(layer_of(8, 8, 90, "a"));
-  ns.layers.push_back(layer_of(5, 11, 33, "b"));
-
-  WearSimulator plain_sim(arch::rota_like());
-  auto plain = make_policy(PolicyKind::kRwlRo, 14, 12);
-  plain_sim.run_iterations(ns, *plain, 2);
-
-  WearSimulator traced_sim(arch::rota_like());
-  TracingPolicy traced(make_policy(PolicyKind::kRwlRo, 14, 12));
-  traced_sim.run_iterations(ns, traced, 2);
-
-  EXPECT_TRUE(plain_sim.tracker().usage() == traced_sim.tracker().usage());
-  EXPECT_EQ(traced.records().size(), 2u * (90 + 33));
-}
-
-TEST(Trace, CsvEmission) {
-  TracingPolicy traced(make_policy(PolicyKind::kRwl, 14, 12));
-  const sched::UtilSpace space{4, 4};
-  traced.begin_layer(space);
-  traced.next_origin(space);
-  std::ostringstream os;
-  write_trace_csv(traced.records(), os);
-  EXPECT_EQ(os.str(), "tile,layer,x,y,u,v\n0,0,4,4,0,0\n");
-}
-
-TEST(Trace, CloneCarriesTraceState) {
-  TracingPolicy traced(make_policy(PolicyKind::kRwlRo, 14, 12));
-  const sched::UtilSpace space{4, 4};
-  traced.begin_layer(space);
-  traced.next_origin(space);
-  auto copy = traced.clone();
-  auto* copy_traced = dynamic_cast<TracingPolicy*>(copy.get());
-  ASSERT_NE(copy_traced, nullptr);
-  EXPECT_EQ(copy_traced->records().size(), 1u);
-}
-
-TEST(Trace, PackStateRoundTripsTheInnerRotation) {
-  const sched::UtilSpace space{4, 3};
-  TracingPolicy original(make_policy(PolicyKind::kRwlRo, 14, 12));
-  original.begin_layer(space);
-  for (int t = 0; t < 9; ++t) original.next_origin(space);
-  const std::vector<std::uint64_t> state = original.pack_state();
-  // The inner stride state mid-rotation, not the stateless default.
-  ASSERT_EQ(state.size(), 2u);
-  EXPECT_NE(state, (std::vector<std::uint64_t>{0, 0}));
-
-  TracingPolicy restored(make_policy(PolicyKind::kRwlRo, 14, 12));
-  restored.unpack_state(state);
-  EXPECT_EQ(restored.pack_state(), state);
-  restored.begin_layer(space);
-  for (int t = 0; t < 12; ++t) {
-    const Placement a = original.next_origin(space);
-    const Placement b = restored.next_origin(space);
-    EXPECT_EQ(a.u, b.u);
-    EXPECT_EQ(a.v, b.v);
-  }
-}
-
 // ------------------------------------------------------------ simulator ----
 
 sched::NetworkSchedule tiny_schedule(arch::AcceleratorConfig cfg) {
@@ -1171,17 +1074,6 @@ TEST(Simulator, IterationJumpMatchesLiteralSteppingExactly) {
       }
     }
   }
-}
-
-TEST(Simulator, TracingPolicySeesEveryTileOfEveryIteration) {
-  const sched::NetworkSchedule ns = tiny_schedule(arch::rota_like());
-  TracingPolicy traced(make_policy(PolicyKind::kRwlRo, 14, 12));
-  WearSimulator sim(arch::rota_like());
-  const CounterProbe probe;
-  sim.run_iterations(ns, traced, 200);
-  EXPECT_EQ(probe.skipped(), 0);
-  EXPECT_EQ(static_cast<std::int64_t>(traced.records().size()),
-            200 * ns.total_tiles());
 }
 
 TEST(Simulator, RandomStartNeverJumps) {

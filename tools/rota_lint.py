@@ -26,11 +26,6 @@ Rules enforced (each can be suppressed on a specific line with a trailing
                only the process entry point (src/cli/main.cpp) and the
                obs terminal sinks (progress, the EventLog stderr echo)
                talk to the process-global streams.
-  api-no-throw No `throw` statement in a header that declares part of the
-               versioned public API (any header containing `namespace
-               rota::api`). v1 entry points report data errors through
-               Result<T>; exceptions are an implementation detail of the
-               historical surface and must not leak into the facade.
   determinism  Serialized results must be a pure function of the inputs
                and the seed. Three sub-checks: (a) no wall-clock reads
                (system_clock, time(), gettimeofday, gmtime/localtime)
@@ -56,11 +51,6 @@ Rules enforced (each can be suppressed on a specific line with a trailing
                the dispatched rota::kern batch API, so the scalar/AVX2
                bit-identity contract (DESIGN.md §14) is testable and
                enforced in exactly one place.
-  api-noexcept Declarations in a versioned-API header (`namespace
-               rota::api`) that return Result<T> must be marked noexcept:
-               the Result contract is "errors come back as values", and a
-               missing noexcept lets an implementation exception escape
-               through the facade unannounced.
 
 Header self-containment is checked by the CMake `rota_header_checks`
 target, which compiles every src/ header as a standalone TU. Clang's
@@ -139,9 +129,6 @@ SIGNAL_SAFE_KEYWORDS = frozenset({
     "defined", "int", "long", "short", "unsigned", "signed", "bool",
     "char", "void", "auto", "decltype", "static_assert",
 })
-
-# --- api-noexcept rule --------------------------------------------------
-RESULT_RETURN = re.compile(r"\bResult\s*<")
 
 # --- simd-isolation rule ------------------------------------------------
 # Vendor intrinsics headers: immintrin.h and friends (xmmintrin, emmintrin,
@@ -238,21 +225,6 @@ class Linter:
                           "report via rota::obs or a caller-supplied "
                           "std::ostream")
 
-    def check_api_no_throw(self, path: Path, stripped: str,
-                           raw: list[str]) -> None:
-        """Versioned-API headers must be exception-free: entry points
-        return Result<T> (DESIGN.md §10)."""
-        if path.suffix != ".hpp":
-            return
-        if not re.search(r"\bnamespace\s+rota::api\b", stripped):
-            return
-        for lineno, line in enumerate(stripped.splitlines(), 1):
-            if re.search(r"\bthrow\b", line) and not self.allowed(
-                    raw, lineno, "api-no-throw"):
-                self.fail(path, lineno, "api-no-throw",
-                          "public api::v1 headers must not throw; return "
-                          "util::Result<T> instead")
-
     def check_determinism(self, path: Path, stripped: str,
                           raw: list[str]) -> None:
         """Wall-clock reads, unordered-container iteration and
@@ -331,34 +303,6 @@ class Linter:
                           "src/kern/; use the rota::kern batch API so the "
                           "scalar/SIMD bit-identity contract is enforced "
                           "in one place")
-
-    def check_api_noexcept(self, path: Path, stripped: str,
-                           raw: list[str]) -> None:
-        """Result<T>-returning declarations in versioned-API headers must
-        be noexcept — the facade's contract is errors-as-values."""
-        if path.suffix != ".hpp":
-            return
-        if not re.search(r"\bnamespace\s+rota::api\b", stripped):
-            return
-        for m in RESULT_RETURN.finditer(stripped):
-            line_start = stripped.rfind("\n", 0, m.start()) + 1
-            j = m.end()
-            while j < len(stripped) and stripped[j] not in ";{":
-                j += 1
-            decl = stripped[line_start:j]
-            if "(" not in decl or decl.lstrip().startswith("using"):
-                continue  # alias or non-function use, not an entry point
-            lineno = stripped.count("\n", 0, m.start()) + 1
-            if self.allowed(raw, lineno, "api-noexcept"):
-                continue
-            if "noexcept" not in decl:
-                fn = FUNC_NAME.search(decl)
-                label = f"`{fn.group(1)}`" if fn else "declaration"
-                self.fail(path, lineno, "api-noexcept",
-                          f"{label} returns Result<T> but is not "
-                          "noexcept; the v1 surface reports every error "
-                          "as a value, so mark it noexcept and catch "
-                          "internally")
 
     def check_pragma_once(self, path: Path, raw: list[str]) -> None:
         if path.suffix != ".hpp":
@@ -538,11 +482,9 @@ class Linter:
             self.check_rng(path, stripped, raw)
             self.check_float_wear(path, stripped, raw)
             self.check_log_discipline(path, stripped, raw)
-            self.check_api_no_throw(path, stripped, raw)
             self.check_determinism(path, stripped, raw)
             self.check_signal_safety(path, stripped, raw)
             self.check_simd_isolation(path, stripped, raw)
-            self.check_api_noexcept(path, stripped, raw)
             self.check_pragma_once(path, raw)
             self.check_pre_require(path, text, stripped, raw)
         if self.failures:
