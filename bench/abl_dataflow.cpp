@@ -18,16 +18,12 @@ namespace {
 double improvement_for(const rota::sched::NetworkSchedule& ns,
                        const rota::arch::AcceleratorConfig& accel) {
   using namespace rota;
-  wear::WearSimulator base_sim(accel);
-  auto base = wear::make_policy(wear::PolicyKind::kBaseline,
-                                accel.array_width, accel.array_height);
-  base_sim.run_iterations(ns, *base, 300);
-  wear::WearSimulator ro_sim(accel);
-  auto ro = wear::make_policy(wear::PolicyKind::kRwlRo, accel.array_width,
-                              accel.array_height);
-  ro_sim.run_iterations(ns, *ro, 300);
-  return rel::lifetime_improvement(base_sim.tracker().usage_as_doubles(),
-                                   ro_sim.tracker().usage_as_doubles());
+  const wear::PolicyRun base =
+      wear::run_policy(accel, ns, wear::PolicyKind::kBaseline, 300);
+  const wear::PolicyRun ro =
+      wear::run_policy(accel, ns, wear::PolicyKind::kRwlRo, 300);
+  return rel::lifetime_improvement(wear::usage_alphas(base.usage),
+                                   wear::usage_alphas(ro.usage));
 }
 
 }  // namespace

@@ -21,7 +21,6 @@ Row measure(const rota::nn::Network& net, bool exact) {
   using wear::PolicyKind;
   ExperimentConfig cfg;
   cfg.iterations = 300;
-  Experiment exp(cfg);
   // Re-map the network with the requested mapspace.
   sched::Mapper mapper(cfg.accel, sched::ObjectiveSpec{}, {},
                        sched::MapperOptions{exact});
@@ -29,14 +28,12 @@ Row measure(const rota::nn::Network& net, bool exact) {
 
   Row row;
   row.util = ns.mean_utilization();
-  wear::WearSimulator base_sim(cfg.accel);
-  auto base = wear::make_policy(PolicyKind::kBaseline, 14, 12);
-  base_sim.run_iterations(ns, *base, cfg.iterations);
-  wear::WearSimulator ro_sim(cfg.accel);
-  auto ro = wear::make_policy(PolicyKind::kRwlRo, 14, 12);
-  ro_sim.run_iterations(ns, *ro, cfg.iterations);
-  row.gain = rel::lifetime_improvement(base_sim.tracker().usage_as_doubles(),
-                                       ro_sim.tracker().usage_as_doubles());
+  const wear::PolicyRun base =
+      wear::run_policy(cfg.accel, ns, PolicyKind::kBaseline, cfg.iterations);
+  const wear::PolicyRun ro =
+      wear::run_policy(cfg.accel, ns, PolicyKind::kRwlRo, cfg.iterations);
+  row.gain = rel::lifetime_improvement(wear::usage_alphas(base.usage),
+                                       wear::usage_alphas(ro.usage));
   return row;
 }
 

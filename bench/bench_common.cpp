@@ -80,9 +80,9 @@ const std::vector<wear::PolicyKind>& paper_policies() {
   return kPolicies;
 }
 
-const PolicyRun& run_of(const ExperimentResult& result,
+const wear::PolicyRun& run_of(const ExperimentResult& result,
                         wear::PolicyKind kind) {
-  const PolicyRun* run = result.find_run(kind);
+  const wear::PolicyRun* run = result.find_run(kind);
   ROTA_ENSURE(run != nullptr, "bench requested the " + wear::to_string(kind) +
                                   " run but the experiment did not include it");
   return *run;

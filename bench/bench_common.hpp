@@ -54,7 +54,7 @@ const std::vector<wear::PolicyKind>& paper_policies();
 /// benches always look up policies they just ran). Built on the
 /// non-throwing ExperimentResult::find_run; aborts via ROTA_ENSURE on a
 /// bench-harness bug instead of unwinding mid-report.
-const PolicyRun& run_of(const ExperimentResult& result,
-                        wear::PolicyKind kind);
+const wear::PolicyRun& run_of(const ExperimentResult& result,
+                              wear::PolicyKind kind);
 
 }  // namespace rota::bench

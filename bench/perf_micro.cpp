@@ -48,7 +48,7 @@ BENCHMARK(BM_MapperScheduleSqueezeNet)->Unit(benchmark::kMillisecond);
 
 void BM_MapperDivisors(benchmark::State& state) {
   // Divisor-heavy shape: 960 and 512 channels have long divisor ladders,
-  // so this isolates the per-search divisor memo and ladder hoisting.
+  // so this isolates the per-search divisor lists and ladder hoisting.
   const auto layer = nn::conv("d", 960, 512, 14, 3, 1);
   for (auto _ : state) {
     // fresh mapper each iteration: defeat the cache

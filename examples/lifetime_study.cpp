@@ -47,7 +47,8 @@ int main(int argc, char** argv) {
   // Reliability curves: evaluate R(t) for each scheme at the baseline's
   // MTTF — the survival probability gained by wear-leveling at the moment
   // the unleveled design is expected to die.
-  const rota::PolicyRun* base_ptr = result.find_run(PolicyKind::kBaseline);
+  const rota::wear::PolicyRun* base_ptr =
+      result.find_run(PolicyKind::kBaseline);
   if (base_ptr == nullptr) {
     std::cerr << "baseline run missing from experiment result\n";
     return 1;

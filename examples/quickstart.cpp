@@ -45,7 +45,7 @@ int main() {
 
   // find_run is the one policy lookup: nullptr when the policy was not
   // run (the throwing result.run(kind) accessor has been removed).
-  const rota::PolicyRun* ro = result.find_run(PolicyKind::kRwlRo);
+  const rota::wear::PolicyRun* ro = result.find_run(PolicyKind::kRwlRo);
   if (ro == nullptr) {
     std::cout << "RWL+RO run missing from experiment result\n";
     return 1;

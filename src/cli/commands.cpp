@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -28,6 +27,7 @@
 #include "obs/trace.hpp"
 #include "par/thread_pool.hpp"
 #include "util/check.hpp"
+#include "util/encode.hpp"
 #include "util/io.hpp"
 
 namespace rota::cli {
@@ -80,13 +80,12 @@ sched::ArrayState array_state_of(const Options& opt, const nn::Network& net) {
   sched::Mapper mapper(accel, objective_of(opt), {},
                        sched::MapperOptions{true, threads_of(opt)});
   const sched::NetworkSchedule ns = mapper.schedule_network(net);
-  wear::WearSimulator sim(accel);
-  auto policy = wear::make_policy(wear::PolicyKind::kRwlRo, accel.array_width,
-                                  accel.array_height, opt.seed);
   constexpr std::int64_t kSnapshotIterations = 32;
-  sim.run_iterations(ns, *policy, kSnapshotIterations);
+  const wear::PolicyRun profile = wear::run_policy(
+      accel, ns, wear::PolicyKind::kRwlRo, kSnapshotIterations,
+      wear::WearMetric::kAllocations, opt.seed);
   fi::WearSnapshot snapshot;
-  snapshot.usage = sim.tracker().usage().cells();
+  snapshot.usage = profile.usage.cells();
   snapshot.seed = opt.seed;
   auto state = fi::array_state_from_faults(opt.array_width, opt.array_height,
                                            faults, opt.spares, snapshot);
@@ -153,25 +152,21 @@ int cmd_wear(const Options& opt, std::ostream& out) {
     source_name = net.name();
   }
 
-  wear::WearSimulator sim(accel, {true, opt.metric});
-  auto policy = wear::make_policy(opt.policy, accel.array_width,
-                                  accel.array_height, opt.seed);
-  sim.run_iterations(ns, *policy, opt.iterations);
-
-  const auto stats = sim.tracker().stats();
+  const wear::PolicyRun run = wear::run_policy(
+      accel, ns, opt.policy, opt.iterations, opt.metric, opt.seed);
+  const auto& stats = run.stats;
   out << source_name << " x " << opt.iterations << " iterations, policy "
-      << policy->name() << ":\n"
+      << run.policy_name << ":\n"
       << "  min(A_PE) = " << stats.min << ", max(A_PE) = " << stats.max
       << ", D_max = " << stats.max_diff
       << ", R_diff = " << util::fmt(stats.r_diff, 4) << "\n\n"
-      << util::ascii_heatmap(sim.tracker().usage());
+      << util::ascii_heatmap(run.usage);
 
   if (!opt.pgm_path.empty()) {
-    util::Grid<double> img(sim.tracker().usage().width(),
-                           sim.tracker().usage().height());
+    util::Grid<double> img(run.usage.width(), run.usage.height());
     for (std::size_t r = 0; r < img.height(); ++r)
       for (std::size_t c = 0; c < img.width(); ++c)
-        img(c, r) = static_cast<double>(sim.tracker().usage()(c, r));
+        img(c, r) = static_cast<double>(run.usage(c, r));
     if (util::write_pgm(img, opt.pgm_path)) {
       out << "wrote " << opt.pgm_path << '\n';
     } else {
@@ -209,23 +204,21 @@ int cmd_lifetime(const Options& opt, std::ostream& out) {
   // absent run is an internal invariant violation, not a user error.
   const auto usage_of =
       [&res](wear::PolicyKind kind) -> const util::Grid<std::int64_t>& {
-    const PolicyRun* run = res.find_run(kind);
+    const wear::PolicyRun* run = res.find_run(kind);
     ROTA_ENSURE(run != nullptr, "policy run missing from experiment result");
     return run->usage;
   };
 
+  // The Monte-Carlo and spare comparisons rate both runs on one activity
+  // scale: the baseline's peak usage.
+  const double peak = wear::usage_peak(usage_of(wear::PolicyKind::kBaseline));
+  const auto alphas = [&](wear::PolicyKind kind) {
+    return wear::usage_alphas(usage_of(kind), peak);
+  };
+
   if (opt.mc_trials > 0) {
     // Monte-Carlo cross-check of the closed-form Eq. 3/4 algebra on the
-    // measured usage fields (shared activity scale).
-    double peak = 1.0;
-    for (std::int64_t v : usage_of(wear::PolicyKind::kBaseline).cells())
-      peak = std::max(peak, static_cast<double>(v));
-    auto alphas = [&](wear::PolicyKind kind) {
-      std::vector<double> a;
-      for (std::int64_t v : usage_of(kind).cells())
-        a.push_back(static_cast<double>(v) / peak);
-      return a;
-    };
+    // measured usage fields.
     const auto mc_base = rel::monte_carlo_mttf(
         alphas(wear::PolicyKind::kBaseline), cfg.beta, 1.0, opt.mc_trials,
         opt.seed, threads_of(opt));
@@ -241,16 +234,7 @@ int cmd_lifetime(const Options& opt, std::ostream& out) {
   }
 
   if (opt.spares > 0) {
-    // Spare-tolerant comparison on a shared activity scale.
-    double peak = 1.0;
-    for (std::int64_t v : usage_of(wear::PolicyKind::kBaseline).cells())
-      peak = std::max(peak, static_cast<double>(v));
-    auto alphas = [&](wear::PolicyKind kind) {
-      std::vector<double> a;
-      for (std::int64_t v : usage_of(kind).cells())
-        a.push_back(static_cast<double>(v) / peak);
-      return a;
-    };
+    // Spare-tolerant comparison.
     const double mb = rel::spare_array_mttf(
         alphas(wear::PolicyKind::kBaseline), opt.spares, cfg.beta);
     const double mr = rel::spare_array_mttf(
@@ -274,8 +258,9 @@ int cmd_thermal(const Options& opt, std::ostream& out) {
   const auto res = exp.run(
       net, {wear::PolicyKind::kBaseline, wear::PolicyKind::kRwlRo});
 
-  const PolicyRun* base_run = res.find_run(wear::PolicyKind::kBaseline);
-  const PolicyRun* ro_run = res.find_run(wear::PolicyKind::kRwlRo);
+  const wear::PolicyRun* base_run =
+      res.find_run(wear::PolicyKind::kBaseline);
+  const wear::PolicyRun* ro_run = res.find_run(wear::PolicyKind::kRwlRo);
   ROTA_ENSURE(base_run != nullptr && ro_run != nullptr,
               "policy run missing from experiment result");
   const auto& base_usage = base_run->usage;
@@ -352,14 +337,6 @@ int cmd_serve(const Options& opt, std::istream& in, std::ostream& out) {
   eo.max_queue = static_cast<std::size_t>(opt.queue_cap);
   svc::Engine engine(eo);
   return engine.serve(in, out, interrupt_flag());
-}
-
-/// Exact round-trip rendering for checkpointed / CSV'd doubles — the
-/// bit-identical-after-resume guarantee must survive the text format.
-std::string hexfloat(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%a", v);
-  return buf;
 }
 
 double parse_hexfloat(const std::string& text, const std::string& what) {
@@ -588,11 +565,11 @@ int cmd_sweep(const Options& opt, std::ostream& out) {
       return kExitInterrupted;
     }
     const ExperimentResult res = exp.run(nets[n], policies);
-    for (const PolicyRun& run : res.runs) {
+    for (const wear::PolicyRun& run : res.runs) {
       csv += res.network_abbr + "," + run.policy_name + "," +
-             hexfloat(res.improvement_over_baseline(run.kind)) + "," +
+             util::hexfloat(res.improvement_over_baseline(run.kind)) + "," +
              std::to_string(run.stats.max_diff) + "," +
-             hexfloat(run.stats.r_diff) + "\n";
+             util::hexfloat(run.stats.r_diff) + "\n";
     }
     save(n + 1);
     progress.tick(1);
@@ -618,16 +595,10 @@ int cmd_mc(const Options& opt, std::ostream& out) {
 
   // The activity field whose MTTF we estimate: one wear run under the
   // requested policy, normalized to peak usage (as cmd_lifetime does).
-  wear::WearSimulator sim(accel, {true, opt.metric});
-  auto policy = wear::make_policy(opt.policy, accel.array_width,
-                                  accel.array_height, opt.seed);
-  sim.run_iterations(ns, *policy, opt.iterations);
-  double peak = 1.0;
-  for (std::int64_t v : sim.tracker().usage().cells())
-    peak = std::max(peak, static_cast<double>(v));
-  std::vector<double> alphas;
-  for (std::int64_t v : sim.tracker().usage().cells())
-    alphas.push_back(static_cast<double>(v) / peak);
+  const wear::PolicyRun run = wear::run_policy(
+      accel, ns, opt.policy, opt.iterations, opt.metric, opt.seed);
+  const std::vector<double> alphas =
+      wear::usage_alphas(run.usage, wear::usage_peak(run.usage));
   const double beta = rel::kJedecShape;
 
   std::string fingerprint =
@@ -671,8 +642,8 @@ int cmd_mc(const Options& opt, std::ostream& out) {
     cp.kind = "mc";
     cp.fingerprint = fingerprint;
     cp.progress = partial.next_chunk;
-    cp.fields["sum"] = hexfloat(partial.sum);
-    cp.fields["sum_sq"] = hexfloat(partial.sum_sq);
+    cp.fields["sum"] = util::hexfloat(partial.sum);
+    cp.fields["sum_sq"] = util::hexfloat(partial.sum_sq);
     fi::save_checkpoint(opt.checkpoint_path, cp);
     progress.note_checkpoint();
   };
@@ -698,11 +669,11 @@ int cmd_mc(const Options& opt, std::ostream& out) {
 
   const rel::MonteCarloResult res =
       rel::monte_carlo_mttf_finalize(partial, opt.trials);
-  out << net.abbr() << " policy " << policy->name() << ": MTTF = "
+  out << net.abbr() << " policy " << run.policy_name << ": MTTF = "
       << util::fmt(res.mttf, 6) << " (stderr " << util::fmt(res.stderr_, 6)
       << ", " << res.trials << " trials)\n"
-      << "exact: mttf " << hexfloat(res.mttf) << " stderr "
-      << hexfloat(res.stderr_) << '\n';
+      << "exact: mttf " << util::hexfloat(res.mttf) << " stderr "
+      << util::hexfloat(res.stderr_) << '\n';
   if (!opt.checkpoint_path.empty()) discard_checkpoint(opt.checkpoint_path);
   return 0;
 }
@@ -757,8 +728,9 @@ int cmd_pareto(const Options& opt, std::ostream& out) {
                std::to_string(m.lb_s) + "," + std::to_string(pt.tiles) + "," +
                std::to_string(pt.pe_allocations) + "," +
                std::to_string(pt.anchor_u) + "," +
-               std::to_string(pt.anchor_v) + "," + hexfloat(pt.energy) +
-               "," + hexfloat(pt.mttf) + "," + hexfloat(pt.cycles) + "\n";
+               std::to_string(pt.anchor_v) + "," +
+               util::hexfloat(pt.energy) + "," + util::hexfloat(pt.mttf) +
+               "," + util::hexfloat(pt.cycles) + "\n";
       }
     }
     util::write_text_file(opt.csv_out_path, csv);

@@ -7,7 +7,7 @@
 
 namespace rota {
 
-const PolicyRun* ExperimentResult::find_run(
+const wear::PolicyRun* ExperimentResult::find_run(
     wear::PolicyKind kind) const noexcept {
   for (const auto& r : runs) {
     if (r.kind == kind) return &r;
@@ -17,23 +17,14 @@ const PolicyRun* ExperimentResult::find_run(
 
 double ExperimentResult::improvement_over_baseline(
     wear::PolicyKind kind) const {
-  const PolicyRun* base_ptr = find_run(wear::PolicyKind::kBaseline);
-  const PolicyRun* wl_ptr = find_run(kind);
+  const wear::PolicyRun* base_ptr = find_run(wear::PolicyKind::kBaseline);
+  const wear::PolicyRun* wl_ptr = find_run(kind);
   ROTA_REQUIRE(base_ptr != nullptr && wl_ptr != nullptr,
                "improvement_over_baseline requires both the baseline run "
                "and the " +
                    wear::to_string(kind) + " run to be present");
-  const PolicyRun& base = *base_ptr;
-  const PolicyRun& wl = *wl_ptr;
-  std::vector<double> base_alphas;
-  std::vector<double> wl_alphas;
-  base_alphas.reserve(base.usage.size());
-  wl_alphas.reserve(wl.usage.size());
-  for (std::int64_t v : base.usage.cells())
-    base_alphas.push_back(static_cast<double>(v));
-  for (std::int64_t v : wl.usage.cells())
-    wl_alphas.push_back(static_cast<double>(v));
-  return rel::lifetime_improvement(base_alphas, wl_alphas, beta);
+  return rel::lifetime_improvement(wear::usage_alphas(base_ptr->usage),
+                                   wear::usage_alphas(wl_ptr->usage), beta);
 }
 
 Experiment::Experiment(ExperimentConfig config)
@@ -49,13 +40,13 @@ sched::NetworkSchedule Experiment::schedule(const nn::Network& net) {
   return mapper_.schedule_network(net);
 }
 
-std::vector<PolicyRun> Experiment::run_policies(
+std::vector<wear::PolicyRun> Experiment::run_policies(
     const sched::NetworkSchedule& ns,
     const std::vector<wear::PolicyKind>& policies) {
   // Each cell owns its policy object and simulator; the shared schedule
   // is read-only, so cells are independent and results land in the slot
   // named by the policy's input position — identical for any lane count.
-  std::vector<PolicyRun> runs(policies.size());
+  std::vector<wear::PolicyRun> runs(policies.size());
   par::parallel_for(
       static_cast<std::int64_t>(policies.size()), config_.threads,
       [this, &ns, &policies, &runs](std::int64_t i) {
@@ -63,17 +54,9 @@ std::vector<PolicyRun> Experiment::run_policies(
         const obs::TraceSpan policy_span(wear::to_string(kind),
                                          "experiment.policy");
         obs::MetricsRegistry::global().add("experiment.policy_runs");
-        auto policy =
-            wear::make_policy(kind, config_.accel.array_width,
-                              config_.accel.array_height, config_.seed);
-        wear::WearSimulator sim(config_.accel, {true, config_.metric});
-        sim.run_iterations(ns, *policy, config_.iterations);
-        PolicyRun run;
-        run.kind = kind;
-        run.policy_name = policy->name();
-        run.usage = sim.tracker().usage();
-        run.stats = sim.tracker().stats();
-        runs[static_cast<std::size_t>(i)] = std::move(run);
+        runs[static_cast<std::size_t>(i)] =
+            wear::run_policy(config_.accel, ns, kind, config_.iterations,
+                             config_.metric, config_.seed);
       });
   return runs;
 }
@@ -126,53 +109,6 @@ ExperimentResult Experiment::run_mix(
   return result;
 }
 
-std::vector<ExperimentResult> Experiment::run_sweep(
-    const std::vector<nn::Network>& nets,
-    const std::vector<wear::PolicyKind>& policies) {
-  ROTA_REQUIRE(!nets.empty(), "sweep needs at least one network");
-  const obs::TraceSpan sweep_span("sweep", "experiment");
-
-  // Schedule every network first (schedule_network fans distinct shapes
-  // out on its own, and the shared mapper memo carries shapes repeated
-  // across networks), then flatten the policy×workload grid into
-  // independent cells.
-  std::vector<ExperimentResult> results(nets.size());
-  for (std::size_t n = 0; n < nets.size(); ++n) {
-    results[n].network_name = nets[n].name();
-    results[n].network_abbr = nets[n].abbr();
-    results[n].schedule = schedule(nets[n]);
-    results[n].iterations = config_.iterations;
-    results[n].beta = config_.beta;
-    results[n].runs.resize(policies.size());
-  }
-  const std::int64_t cells =
-      static_cast<std::int64_t>(nets.size() * policies.size());
-  par::parallel_for(
-      cells, config_.threads, [this, &policies, &results](std::int64_t cell) {
-        const std::size_t n =
-            static_cast<std::size_t>(cell) / policies.size();
-        const std::size_t p =
-            static_cast<std::size_t>(cell) % policies.size();
-        const wear::PolicyKind kind = policies[p];
-        const obs::TraceSpan policy_span(results[n].network_abbr + ":" +
-                                             wear::to_string(kind),
-                                         "experiment.policy");
-        obs::MetricsRegistry::global().add("experiment.policy_runs");
-        auto policy =
-            wear::make_policy(kind, config_.accel.array_width,
-                              config_.accel.array_height, config_.seed);
-        wear::WearSimulator sim(config_.accel, {true, config_.metric});
-        sim.run_iterations(results[n].schedule, *policy, config_.iterations);
-        PolicyRun run;
-        run.kind = kind;
-        run.policy_name = policy->name();
-        run.usage = sim.tracker().usage();
-        run.stats = sim.tracker().stats();
-        results[n].runs[p] = std::move(run);
-      });
-  return results;
-}
-
 std::vector<TransientSample> Experiment::run_transient(
     const nn::Network& net, wear::PolicyKind kind, std::int64_t iterations) {
   ROTA_REQUIRE(iterations >= 1, "transient run needs at least one iteration");
@@ -187,7 +123,8 @@ std::vector<TransientSample> Experiment::run_transient(
       wear::make_policy(wear::PolicyKind::kBaseline, config_.accel.array_width,
                         config_.accel.array_height, config_.seed);
   base_sim.run_iteration(ns, *base_policy);
-  const std::vector<double> base_once = base_sim.tracker().usage_as_doubles();
+  const std::vector<double> base_once =
+      wear::usage_alphas(base_sim.tracker().usage());
 
   auto policy = wear::make_policy(kind, config_.accel.array_width,
                                   config_.accel.array_height, config_.seed);
@@ -207,7 +144,7 @@ std::vector<TransientSample> Experiment::run_transient(
         for (std::size_t i = 0; i < base_once.size(); ++i)
           base_now[i] = base_once[i] * static_cast<double>(it);
         s.improvement = rel::lifetime_improvement(
-            base_now, tracker.usage_as_doubles(), config_.beta);
+            base_now, wear::usage_alphas(tracker.usage()), config_.beta);
         samples.push_back(s);
       });
   return samples;

@@ -9,6 +9,7 @@
 #include "reliability/array_reliability.hpp"
 #include "sched/mapper.hpp"
 #include "wear/policy.hpp"
+#include "wear/runner.hpp"
 #include "wear/simulator.hpp"
 
 /// \file experiment.hpp
@@ -28,18 +29,10 @@ struct ExperimentConfig {
   /// Wear accounting: allocation counts (the paper's A_PE) or
   /// busy-cycle-weighted counts (extension).
   wear::WearMetric metric = wear::WearMetric::kAllocations;
-  /// Worker lanes for scheduling and policy/workload cells: 1 = serial
-  /// (default, the historical path), 0 = one lane per hardware thread.
-  /// Results are bit-identical for any value (DESIGN.md §9).
+  /// Worker lanes for scheduling and policy cells: 1 = one lane (the
+  /// default), 0 = one lane per hardware thread. Every value runs the same
+  /// code and gives bit-identical results (DESIGN.md §9).
   int threads = 1;
-};
-
-/// Outcome of running one policy over the workload.
-struct PolicyRun {
-  wear::PolicyKind kind = wear::PolicyKind::kBaseline;
-  std::string policy_name;
-  util::Grid<std::int64_t> usage;  ///< final per-PE usage counters
-  wear::UsageStats stats;          ///< D_max, min/max A_PE, R_diff
 };
 
 /// Outcome of a full experiment on one network.
@@ -49,11 +42,12 @@ struct ExperimentResult {
   sched::NetworkSchedule schedule;
   std::int64_t iterations = 0;
   double beta = rel::kJedecShape;
-  std::vector<PolicyRun> runs;
+  std::vector<wear::PolicyRun> runs;
 
   /// The run for a given policy, or nullptr if the policy was not part of
   /// this experiment. The non-throwing lookup used by the service layer.
-  [[nodiscard]] const PolicyRun* find_run(wear::PolicyKind kind) const noexcept;
+  [[nodiscard]] const wear::PolicyRun* find_run(
+      wear::PolicyKind kind) const noexcept;
 
   /// Relative lifetime improvement of `kind` over the baseline run
   /// (Eq. 4). Requires both runs to be present.
@@ -90,15 +84,6 @@ class Experiment {
   ExperimentResult run_mix(const std::vector<nn::Network>& mix,
                            const std::vector<wear::PolicyKind>& policies);
 
-  /// Full evaluation sweep: every network under every policy, one result
-  /// per network in input order. With config().threads != 1 the
-  /// policy×workload cells run concurrently (each cell owns its policy
-  /// and simulator, so cells are independent); outputs are identical to
-  /// calling run() per network.
-  std::vector<ExperimentResult> run_sweep(
-      const std::vector<nn::Network>& nets,
-      const std::vector<wear::PolicyKind>& policies);
-
   /// Run one policy and sample D_max / R_diff / improvement-vs-baseline
   /// after every iteration. The baseline usage needed for the improvement
   /// series is computed analytically per iteration (the baseline anchors
@@ -108,9 +93,9 @@ class Experiment {
                                              std::int64_t iterations);
 
  private:
-  /// Run every policy over one fixed schedule, one PolicyRun per policy
-  /// in input order (cells run concurrently when threads != 1).
-  std::vector<PolicyRun> run_policies(
+  /// wear::run_policy for every policy over one fixed schedule, one
+  /// PolicyRun per policy in input order, on config().threads lanes.
+  std::vector<wear::PolicyRun> run_policies(
       const sched::NetworkSchedule& ns,
       const std::vector<wear::PolicyKind>& policies);
 

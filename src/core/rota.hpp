@@ -27,7 +27,7 @@
 ///                             rota::wear::PolicyKind::kRwlRo});
 ///   const double gain = res.improvement_over_baseline(
 ///       rota::wear::PolicyKind::kRwlRo);        // ≈ Fig. 8
-///   if (const rota::PolicyRun* ro =
+///   if (const rota::wear::PolicyRun* ro =
 ///           res.find_run(rota::wear::PolicyKind::kRwlRo)) {
 ///     /* ro->stats, ro->usage */
 ///   }
@@ -61,6 +61,7 @@
 #include "util/heatmap.hpp"
 #include "util/table.hpp"
 #include "wear/policy.hpp"
+#include "wear/runner.hpp"
 #include "wear/rwl_math.hpp"
 #include "wear/simulator.hpp"
 #include "wear/usage_tracker.hpp"

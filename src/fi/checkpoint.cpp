@@ -4,6 +4,7 @@
 
 #include "obs/metrics.hpp"
 #include "util/check.hpp"
+#include "util/encode.hpp"
 #include "util/io.hpp"
 
 namespace rota::fi {
@@ -20,14 +21,6 @@ Error corrupt(const std::string& what) {
 bool single_line(const std::string& text) {
   return text.find('\n') == std::string::npos &&
          text.find('\r') == std::string::npos;
-}
-
-/// FNV-1a over the path: the retry-jitter salt per checkpoint file.
-std::uint64_t path_salt(const std::string& path) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char ch : path)
-    h = (h ^ static_cast<unsigned char>(ch)) * 0x100000001b3ULL;
-  return h;
 }
 
 }  // namespace
@@ -135,7 +128,7 @@ void save_checkpoint(const std::string& path, const Checkpoint& checkpoint,
   const std::string encoded = encode_checkpoint(checkpoint);
   auto& reg = obs::MetricsRegistry::global();
   util::retry_io(
-      retry, path_salt(path),
+      retry, util::fnv1a64(path),
       [&] { util::write_file_atomic(path, encoded); },
       [&](int /*attempt*/, const util::io_error&) {
         reg.add("fi.checkpoint_write_retries");
@@ -149,7 +142,7 @@ util::Result<Checkpoint> load_checkpoint(const std::string& path,
   std::optional<std::string> text;
   try {
     text = util::retry_io(
-        retry, path_salt(path),
+        retry, util::fnv1a64(path),
         [&] { return util::read_text_file_if_exists(path); },
         [&](int /*attempt*/, const util::io_error&) {
           reg.add("fi.checkpoint_read_retries");

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <sstream>
 #include <utility>
 
@@ -13,6 +12,7 @@
 #include "sched/array_state.hpp"
 #include "sched/mapper.hpp"
 #include "util/check.hpp"
+#include "util/encode.hpp"
 #include "util/rng.hpp"
 #include "wear/masked_policy.hpp"
 #include "wear/simulator.hpp"
@@ -24,13 +24,6 @@ namespace {
 constexpr std::uint64_t kWeibullSeedTag = 0x77656962756c6cULL;  // "weibull"
 constexpr const char* kCsvHeader =
     "iteration,event,u,v,arg,live,spares_free,energy,cycles\n";
-
-/// Shortest exact round-trip encoding for the CSV/checkpoint doubles.
-std::string hexdouble(double value) {
-  char buf[48];
-  std::snprintf(buf, sizeof buf, "%a", value);
-  return buf;
-}
 
 std::string pe_name(std::int64_t u, std::int64_t v) {
   std::ostringstream out;
@@ -193,11 +186,11 @@ std::string degrade_fingerprint(const arch::AcceleratorConfig& config,
   out << "degrade|net=" << options.workload_tag << "|array="
       << config.array_width << "x" << config.array_height
       << "|iters=" << options.iterations << "|spares=" << options.spares
-      << "|seed=" << options.seed << "|beta=" << hexdouble(options.beta)
+      << "|seed=" << options.seed << "|beta=" << util::hexfloat(options.beta)
       << "|mode=" << to_string(options.mode)
       << "|objective=" << options.objective.id()
       << "|policy=" << wear::to_string(options.policy)
-      << "|retire=" << hexdouble(options.retire_live_fraction)
+      << "|retire=" << util::hexfloat(options.retire_live_fraction)
       << "|mapper=v" << sched::kMapperVersion << "|faults=";
   for (std::size_t i = 0; i < options.faults.size(); ++i) {
     if (i > 0) out << ';';
@@ -295,8 +288,8 @@ DegradeReport run_degraded_lifetime(const arch::AcceleratorConfig& config,
     std::ostringstream row;
     row << iter << ',' << event << ',' << u << ',' << v << ',' << arg << ','
         << live_primaries() << ',' << remapper.spares_free() << ','
-        << hexdouble(schedule.total_energy()) << ','
-        << hexdouble(schedule.total_cycles()) << '\n';
+        << util::hexfloat(schedule.total_energy()) << ','
+        << util::hexfloat(schedule.total_cycles()) << '\n';
     report.timeline_csv += row.str();
   };
 

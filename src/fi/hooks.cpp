@@ -9,6 +9,7 @@
 #include "obs/metrics.hpp"
 #include "par/thread_pool.hpp"
 #include "util/check.hpp"
+#include "util/encode.hpp"
 #include "util/io.hpp"
 #include "util/rng.hpp"
 #include "util/thread_annotations.hpp"
@@ -194,10 +195,7 @@ bool Hooks::should_fail_alloc(std::string_view site) {
   }
   if (plan.alloc_fail_rate <= 0.0) return false;
   // The site label shifts the stream so distinct sites fail independently.
-  std::uint64_t site_hash = 0xcbf29ce484222325ULL;
-  for (const char ch : site)
-    site_hash = (site_hash ^ static_cast<unsigned char>(ch)) *
-                0x100000001b3ULL;
+  const std::uint64_t site_hash = util::fnv1a64(site);
   const std::uint64_t seq = s.alloc_seq.fetch_add(1, std::memory_order_relaxed);
   if (!decide(plan.seed ^ site_hash, kAllocTag, seq, plan.alloc_fail_rate))
     return false;

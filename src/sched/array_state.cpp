@@ -3,23 +3,9 @@
 #include <cstdio>
 
 #include "util/check.hpp"
+#include "util/encode.hpp"
 
 namespace rota::sched {
-
-namespace {
-
-/// FNV-1a over a byte string: tiny, stable across platforms, and the
-/// hashing convention the ScheduleCache fingerprints already use.
-std::uint64_t fnv1a(const std::string& text) {
-  std::uint64_t h = 14695981039346656037ULL;
-  for (const char c : text) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-}  // namespace
 
 ArrayState::ArrayState(
     std::int64_t width, std::int64_t height,
@@ -82,7 +68,7 @@ void ArrayState::build_tables() {
   }
   char hex[32];
   std::snprintf(hex, sizeof hex, "fnv1a:%016llx",
-                static_cast<unsigned long long>(fnv1a(content)));
+                static_cast<unsigned long long>(util::fnv1a64(content)));
   digest_ = hex;
 
   // Doubled-grid prefix sums make every wrapped-window dead count O(1):

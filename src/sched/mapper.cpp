@@ -7,7 +7,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "par/parallel.hpp"
-#include "util/arena.hpp"
 #include "util/check.hpp"
 #include "util/math.hpp"
 
@@ -89,12 +88,11 @@ std::size_t Mapper::cache_size() const {
   return total;
 }
 
-util::ArenaVector<std::int64_t> Mapper::factor_ladder(
-    util::Arena& arena, const util::ArenaVector<std::int64_t>& bound_divisors,
-    std::int64_t bound, std::int64_t cap) const {
+std::vector<std::int64_t> Mapper::factor_ladder(
+    const std::vector<std::int64_t>& bound_divisors, std::int64_t bound,
+    std::int64_t cap) const {
   ROTA_REQUIRE(bound > 0, "factor ladder needs a positive bound");
-  util::ArenaVector<std::int64_t> ladder{
-      util::ArenaAllocator<std::int64_t>(arena)};
+  std::vector<std::int64_t> ladder;
   cap = std::min(cap, bound);
   if (cap < 1) return ladder;
   ladder.reserve(bound_divisors.size());
@@ -108,11 +106,11 @@ util::ArenaVector<std::int64_t> Mapper::factor_ladder(
   return ladder;
 }
 
-util::ArenaVector<std::int64_t> Mapper::spatial_candidates(
-    util::Arena& arena, const util::ArenaVector<std::int64_t>& bound_divisors,
-    std::int64_t bound, std::int64_t array_dim) const {
+std::vector<std::int64_t> Mapper::spatial_candidates(
+    const std::vector<std::int64_t>& bound_divisors, std::int64_t bound,
+    std::int64_t array_dim) const {
   const std::int64_t cap = std::min(array_dim, bound);
-  util::ArenaVector<std::int64_t> out{util::ArenaAllocator<std::int64_t>(arena)};
+  std::vector<std::int64_t> out;
   if (options_.exact_factors_only) {
     out.reserve(bound_divisors.size());
     for (std::int64_t d : bound_divisors) {
@@ -126,36 +124,6 @@ util::ArenaVector<std::int64_t> Mapper::spatial_candidates(
 }
 
 namespace {
-
-/// Per-search memo of util::divisors: one layer's search asks for the
-/// divisors of the same handful of bounds (K, C/g, P, Q, S) hundreds of
-/// times across the candidate loops; trial division is paid once each.
-/// Everything — hash nodes, bucket array, divisor vectors — lives on the
-/// per-search arena, so a whole search costs zero general-heap traffic
-/// once the arena's blocks are warm.
-class DivisorCache {
- public:
-  explicit DivisorCache(util::Arena& arena)
-      : arena_(arena), memo_(MemoAlloc(arena)) {}
-
-  const util::ArenaVector<std::int64_t>& of(std::int64_t n) {
-    const auto it = memo_.find(n);
-    if (it != memo_.end()) return it->second;
-    util::ArenaVector<std::int64_t> divs{
-        util::ArenaAllocator<std::int64_t>(arena_)};
-    util::divisors_into(n, divs);
-    return memo_.emplace(n, std::move(divs)).first->second;
-  }
-
- private:
-  using MemoAlloc = util::ArenaAllocator<
-      std::pair<const std::int64_t, util::ArenaVector<std::int64_t>>>;
-  util::Arena& arena_;
-  std::unordered_map<std::int64_t, util::ArenaVector<std::int64_t>,
-                     std::hash<std::int64_t>, std::equal_to<std::int64_t>,
-                     MemoAlloc>
-      memo_;
-};
 
 /// Fill a LayerSchedule from the winning (mapping, cost) pair.
 LayerSchedule assemble_schedule(const nn::LayerSpec& layer, const Mapping& map,
@@ -205,44 +173,39 @@ Mapper::SearchCounters Mapper::enumerate_candidates(const nn::LayerSpec& layer,
 
   SearchCounters counters;
 
-  // All search scratch — candidate ladders, divisor memo — comes from a
-  // per-thread bump arena, rewound (not freed) for every layer search.
-  // The containers built on it are all destroyed before this function
-  // returns, so the rewind at the next entry never strands a live object.
-  static thread_local util::Arena arena;
-  arena.reset();
-
-  DivisorCache divs(arena);
-  // References into the memo stay valid across later of() calls
-  // (unordered_map never moves nodes on rehash).
-  const auto& lb_s_candidates = divs.of(s);
-  const auto lb_q_candidates =
-      factor_ladder(arena, divs.of(q), q, std::min(q, cfg.lb_output_words()));
+  // Divisors of each loop bound the ladders draw from, computed once per
+  // search.
+  const std::vector<std::int64_t> divs_k = util::divisors(k);
+  const std::vector<std::int64_t> divs_q = util::divisors(q);
+  const std::vector<std::int64_t> divs_p = util::divisors(p);
+  const std::vector<std::int64_t> divs_cg = util::divisors(cg);
+  const std::vector<std::int64_t> lb_s_candidates = util::divisors(s);
+  const std::vector<std::int64_t> lb_q_candidates =
+      factor_ladder(divs_q, q, std::min(q, cfg.lb_output_words()));
 
   // The lb_c ladder depends only on lb_s (through the buffer capacity
   // cap), not on the spatial factors: hoist one ladder per lb_s out of
   // the four-deep candidate loops.
-  util::ArenaVector<util::ArenaVector<std::int64_t>> lb_c_ladders{
-      util::ArenaAllocator<util::ArenaVector<std::int64_t>>(arena)};
+  std::vector<std::vector<std::int64_t>> lb_c_ladders;
   lb_c_ladders.reserve(lb_s_candidates.size());
   for (std::int64_t lb_s : lb_s_candidates) {
     const std::int64_t cap_c =
         std::min(cfg.lb_weight_words() / (r * lb_s),
                  cfg.lb_input_words() / lb_s);
-    lb_c_ladders.push_back(
-        cap_c < 1 ? util::ArenaVector<std::int64_t>{
-                        util::ArenaAllocator<std::int64_t>(arena)}
-                  : factor_ladder(arena, divs.of(cg), cg, cap_c));
+    lb_c_ladders.push_back(cap_c < 1 ? std::vector<std::int64_t>{}
+                                     : factor_ladder(divs_cg, cg, cap_c));
   }
 
   for (SpatialX dx : {SpatialX::kOutChannels, SpatialX::kOutWidth}) {
-    const std::int64_t bound_x = (dx == SpatialX::kOutChannels) ? k : q;
-    const auto sx_candidates =
-        spatial_candidates(arena, divs.of(bound_x), bound_x, cfg.array_width);
+    const bool x_is_k = dx == SpatialX::kOutChannels;
+    const std::vector<std::int64_t> sx_candidates =
+        spatial_candidates(x_is_k ? divs_k : divs_q, x_is_k ? k : q,
+                           cfg.array_width);
     for (SpatialY dy : {SpatialY::kOutHeight, SpatialY::kInChannels}) {
-      const std::int64_t bound_y = (dy == SpatialY::kOutHeight) ? p : cg;
-      const auto sy_candidates =
-          spatial_candidates(arena, divs.of(bound_y), bound_y, cfg.array_height);
+      const bool y_is_p = dy == SpatialY::kOutHeight;
+      const std::vector<std::int64_t> sy_candidates =
+          spatial_candidates(y_is_p ? divs_p : divs_cg, y_is_p ? p : cg,
+                             cfg.array_height);
       for (std::int64_t sx : sx_candidates) {
         for (std::int64_t sy : sy_candidates) {
           // A window with no dead-PE-free placement is infeasible before
@@ -405,15 +368,8 @@ NetworkParetoFront Mapper::pareto_network(const nn::Network& net) const {
     fronts[static_cast<std::size_t>(i)] =
         pareto_layer(*unique[static_cast<std::size_t>(i)]);
   };
-  if (par::resolve_threads(options_.threads) > 1) {
-    par::parallel_for(static_cast<std::int64_t>(unique.size()),
-                      options_.threads, search_one);
-  } else {
-    for (std::int64_t i = 0;
-         i < static_cast<std::int64_t>(unique.size()); ++i) {
-      search_one(i);
-    }
-  }
+  par::parallel_for(static_cast<std::int64_t>(unique.size()),
+                    options_.threads, search_one);
 
   for (const auto& layer : net.layers()) {
     LayerParetoFront front = fronts[slot.at(LayerShapeKey::of(layer))];
@@ -460,28 +416,26 @@ NetworkSchedule Mapper::schedule_network(const nn::Network& net) {
   ns.config = cost_.config();
   ns.layers.reserve(net.layer_count());
 
-  if (par::resolve_threads(options_.threads) > 1) {
-    // Dedupe shapes first so repeated blocks (ResNet stages, decoder
-    // layers) dispatch one search, then warm the memo concurrently. The
-    // assembly loop below then runs entirely on cache hits.
-    std::vector<const nn::LayerSpec*> unique;
-    std::unordered_set<LayerShapeKey, LayerShapeKeyHash> seen;
-    unique.reserve(net.layer_count());
-    seen.reserve(net.layer_count());
-    for (const auto& layer : net.layers()) {
-      if (seen.insert(LayerShapeKey::of(layer)).second) {
-        unique.push_back(&layer);
-      }
+  // Dedupe shapes first so repeated blocks (ResNet stages, decoder
+  // layers) dispatch one search, then warm the memo on options().threads
+  // lanes. The assembly loop below then runs entirely on cache hits.
+  std::vector<const nn::LayerSpec*> unique;
+  std::unordered_set<LayerShapeKey, LayerShapeKeyHash> seen;
+  unique.reserve(net.layer_count());
+  seen.reserve(net.layer_count());
+  for (const auto& layer : net.layers()) {
+    if (seen.insert(LayerShapeKey::of(layer)).second) {
+      unique.push_back(&layer);
     }
-    obs::MetricsRegistry::global().add(
-        "mapper.layers_deduped",
-        static_cast<std::int64_t>(net.layer_count() - unique.size()));
-    par::parallel_for(static_cast<std::int64_t>(unique.size()),
-                      options_.threads, [this, &unique](std::int64_t i) {
-                        (void)schedule_layer(
-                            *unique[static_cast<std::size_t>(i)]);
-                      });
   }
+  obs::MetricsRegistry::global().add(
+      "mapper.layers_deduped",
+      static_cast<std::int64_t>(net.layer_count() - unique.size()));
+  par::parallel_for(static_cast<std::int64_t>(unique.size()),
+                    options_.threads, [this, &unique](std::int64_t i) {
+                      (void)schedule_layer(
+                          *unique[static_cast<std::size_t>(i)]);
+                    });
 
   for (const auto& layer : net.layers()) {
     ns.layers.push_back(schedule_layer(layer));

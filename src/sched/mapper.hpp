@@ -10,7 +10,6 @@
 #include "sched/cost.hpp"
 #include "sched/objective.hpp"
 #include "sched/schedule.hpp"
-#include "util/arena.hpp"
 #include "util/thread_annotations.hpp"
 
 /// \file mapper.hpp
@@ -33,8 +32,8 @@
 /// independently locked shards, so schedule_network() can search distinct
 /// shapes on pool workers concurrently. The search itself is a pure
 /// function of the layer shape, objective and array state, which makes
-/// the schedules and fronts bit-identical for every thread count;
-/// `threads == 1` (the default) walks the historical fully serial path.
+/// the schedules and fronts bit-identical for every thread count; every
+/// count, 1 included, runs the same dedupe-then-fan-out path.
 
 namespace rota::sched {
 
@@ -120,10 +119,10 @@ class Mapper {
   /// shape memo.
   LayerSchedule schedule_layer(const nn::LayerSpec& layer);
 
-  /// Schedule every layer of a network in execution order. With
-  /// options().threads != 1, distinct layer shapes are deduped up front
-  /// and searched concurrently; the resulting schedules are bit-identical
-  /// to the serial path.
+  /// Schedule every layer of a network in execution order. Distinct layer
+  /// shapes are deduped up front and searched on options().threads lanes;
+  /// the layers are then assembled from the memo, so the schedules are
+  /// bit-identical at any thread count.
   NetworkSchedule schedule_network(const nn::Network& net);
 
   /// The layer's full Pareto front over (energy, projected MTTF, cycles),
@@ -149,16 +148,15 @@ class Mapper {
 
   /// Tiling-factor ladder for a loop bound, clipped to [1, cap]: the
   /// bound's divisors (precomputed by the caller, ascending), plus the cap
-  /// itself in imperfect-factorization mode. Scratch comes from `arena`,
-  /// the per-search bump arena (reset between layer searches).
-  util::ArenaVector<std::int64_t> factor_ladder(
-      util::Arena& arena, const util::ArenaVector<std::int64_t>& bound_divisors,
-      std::int64_t bound, std::int64_t cap) const;
+  /// itself in imperfect-factorization mode.
+  [[nodiscard]] std::vector<std::int64_t> factor_ladder(
+      const std::vector<std::int64_t>& bound_divisors, std::int64_t bound,
+      std::int64_t cap) const;
 
   /// Candidate spatial factors for a loop bound across `array_dim` PEs.
-  util::ArenaVector<std::int64_t> spatial_candidates(
-      util::Arena& arena, const util::ArenaVector<std::int64_t>& bound_divisors,
-      std::int64_t bound, std::int64_t array_dim) const;
+  [[nodiscard]] std::vector<std::int64_t> spatial_candidates(
+      const std::vector<std::int64_t>& bound_divisors, std::int64_t bound,
+      std::int64_t array_dim) const;
 
   /// Walk the bounded mapping space in its one canonical order, invoking
   /// `fn(mapping, cost)` for every feasible candidate (cost-model valid

@@ -8,6 +8,7 @@
 
 #include "obs/metrics.hpp"
 #include "util/check.hpp"
+#include "util/encode.hpp"
 #include "util/io.hpp"
 
 namespace rota::svc {
@@ -19,24 +20,7 @@ namespace {
 constexpr int kCacheFormatVersion = 1;
 constexpr const char* kMagic = "rota-schedule-cache";
 
-/// Doubles are stored as hexfloats: exact round-trip, locale-free.
-std::string hexfloat(double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof buf, "%a", v);
-  return buf;
-}
-
 }  // namespace
-
-std::uint64_t stable_fingerprint_hash(std::string_view text) {
-  // FNV-1a 64-bit.
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : text) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
 
 ScheduleCacheKey ScheduleCacheKey::of(const arch::AcceleratorConfig& accel,
                                       const sched::LayerShapeKey& shape,
@@ -51,25 +35,34 @@ ScheduleCacheKey ScheduleCacheKey::of(const arch::AcceleratorConfig& accel,
   // objective id already encodes the weights for weighted:...; the
   // canonical weight vector is appended anyway so the fingerprint stays
   // self-describing.
-  std::ostringstream os;
-  os << "v" << mapper_version << "|exact=" << (options.exact_factors_only ? 1 : 0)
-     << "|obj=" << objective.id() << "|ow=" << objective.weights_csv()
-     << "|arr_state=" << array_digest
-     << "|arr=" << accel.array_width << 'x' << accel.array_height
-     << "|topo=" << static_cast<int>(accel.topology)
-     << "|word=" << accel.word_bytes << "|lb=" << accel.lb_input_bytes << ','
-     << accel.lb_weight_bytes << ',' << accel.lb_output_bytes
-     << "|glb=" << accel.glb_bytes
-     << "|net=" << accel.global_net_words_per_cycle << "|shape=" << shape.kind;
+  ScheduleCacheKey key;
+  std::string& fp = key.fingerprint;
+  const auto put = [&fp](std::string_view label, std::int64_t value) {
+    fp += label;
+    fp += std::to_string(value);
+  };
+  put("v", mapper_version);
+  put("|exact=", options.exact_factors_only ? 1 : 0);
+  fp.append("|obj=").append(objective.id());
+  fp.append("|ow=").append(objective.weights_csv());
+  fp.append("|arr_state=").append(array_digest);
+  put("|arr=", accel.array_width);
+  put("x", accel.array_height);
+  put("|topo=", static_cast<int>(accel.topology));
+  put("|word=", accel.word_bytes);
+  put("|lb=", accel.lb_input_bytes);
+  put(",", accel.lb_weight_bytes);
+  put(",", accel.lb_output_bytes);
+  put("|glb=", accel.glb_bytes);
+  put("|net=", accel.global_net_words_per_cycle);
+  put("|shape=", shape.kind);
   for (const std::int64_t field :
        {shape.batch, shape.out_channels, shape.in_channels, shape.in_h,
         shape.in_w, shape.kernel_h, shape.kernel_w, shape.stride_h,
         shape.stride_w, shape.pad_h, shape.pad_w, shape.groups}) {
-    os << ',' << field;
+    put(",", field);
   }
-  ScheduleCacheKey key;
-  key.fingerprint = os.str();
-  key.hash = stable_fingerprint_hash(key.fingerprint);
+  key.hash = util::fnv1a64(fp);
   return key;
 }
 
@@ -98,8 +91,8 @@ std::string encode_cache_entry(const ScheduleCacheKey& key,
      << ' ' << value.accesses.inter_pe_hops << ' '
      << value.accesses.glb_accesses << ' ' << value.accesses.dram_accesses
      << '\n'
-     << "energy " << hexfloat(value.energy) << '\n'
-     << "cycles " << hexfloat(value.cycles) << '\n'
+     << "energy " << util::hexfloat(value.energy) << '\n'
+     << "cycles " << util::hexfloat(value.cycles) << '\n'
      << "end\n";
   return os.str();
 }

@@ -59,10 +59,6 @@ struct ScheduleCacheKey {
       int mapper_version = sched::kMapperVersion);
 };
 
-/// Stable 64-bit FNV-1a (not std::hash, whose value may differ between
-/// runs and standard libraries — disk file names must be reproducible).
-[[nodiscard]] std::uint64_t stable_fingerprint_hash(std::string_view text);
-
 struct ScheduleCacheOptions {
   /// In-memory entries across all shards (minimum one per shard).
   std::size_t capacity = 4096;

@@ -15,8 +15,7 @@
 #include "par/parallel.hpp"
 #include "reliability/array_reliability.hpp"
 #include "util/check.hpp"
-#include "wear/policy.hpp"
-#include "wear/simulator.hpp"
+#include "wear/runner.hpp"
 
 namespace rota::svc {
 
@@ -68,29 +67,6 @@ std::string json_stats(const wear::UsageStats& stats) {
      << ",\"r_diff\":" << obs::json_number(stats.r_diff)
      << ",\"mean\":" << obs::json_number(stats.mean) << '}';
   return os.str();
-}
-
-/// One policy pass over a schedule — the exact computation Experiment's
-/// run_policies performs for one cell (same simulator options, same
-/// policy seeding), so engine replies are bit-identical to the CLI path.
-struct PolicyOutcome {
-  std::string name;
-  wear::UsageStats stats;
-  std::vector<double> alphas;
-};
-
-PolicyOutcome run_policy(const arch::AcceleratorConfig& accel,
-                         const sched::NetworkSchedule& ns,
-                         const Request& req, wear::PolicyKind kind) {
-  auto policy =
-      wear::make_policy(kind, accel.array_width, accel.array_height, req.seed);
-  wear::WearSimulator sim(accel, {true, req.metric});
-  sim.run_iterations(ns, *policy, req.iterations);
-  PolicyOutcome out;
-  out.name = policy->name();
-  out.stats = sim.tracker().stats();
-  out.alphas = sim.tracker().usage_as_doubles();
-  return out;
 }
 
 }  // namespace
@@ -278,11 +254,12 @@ Response Engine::execute(const Request& request) {
                              sched::MapperOptions{true, 1});
         const sched::NetworkSchedule ns =
             cached_schedule_network(mapper, net, cache_);
-        const PolicyOutcome run =
-            run_policy(accel, ns, request, request.policy);
+        const wear::PolicyRun run =
+            wear::run_policy(accel, ns, request.policy, request.iterations,
+                             request.metric, request.seed);
         std::ostringstream os;
         os << "{\"workload\":" << obs::json_quote(net.abbr())
-           << ",\"policy\":" << obs::json_quote(run.name)
+           << ",\"policy\":" << obs::json_quote(run.policy_name)
            << ",\"iters\":" << request.iterations
            << ",\"stats\":" << json_stats(run.stats) << '}';
         resp.payload_json = os.str();
@@ -295,20 +272,25 @@ Response Engine::execute(const Request& request) {
                              sched::MapperOptions{true, 1});
         const sched::NetworkSchedule ns =
             cached_schedule_network(mapper, net, cache_);
-        std::vector<PolicyOutcome> runs;
+        std::vector<wear::PolicyRun> runs;
         for (wear::PolicyKind kind :
              {wear::PolicyKind::kBaseline, wear::PolicyKind::kRwl,
               wear::PolicyKind::kRwlRo}) {
-          runs.push_back(run_policy(accel, ns, request, kind));
+          runs.push_back(wear::run_policy(accel, ns, kind,
+                                          request.iterations, request.metric,
+                                          request.seed));
         }
+        const std::vector<double> base_alphas =
+            wear::usage_alphas(runs.front().usage);
         std::ostringstream os;
         os << "{\"workload\":" << obs::json_quote(net.abbr())
            << ",\"iters\":" << request.iterations << ",\"runs\":[";
         for (std::size_t i = 0; i < runs.size(); ++i) {
           const double gain = rel::lifetime_improvement(
-              runs.front().alphas, runs[i].alphas, rel::kJedecShape);
+              base_alphas, wear::usage_alphas(runs[i].usage),
+              rel::kJedecShape);
           os << (i == 0 ? "" : ",") << "{\"policy\":"
-             << obs::json_quote(runs[i].name)
+             << obs::json_quote(runs[i].policy_name)
              << ",\"improvement\":" << obs::json_number(gain)
              << ",\"stats\":" << json_stats(runs[i].stats) << '}';
         }

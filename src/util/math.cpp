@@ -36,7 +36,16 @@ std::int64_t round_up(std::int64_t value, std::int64_t multiple) {
 std::vector<std::int64_t> divisors(std::int64_t n) {
   ROTA_REQUIRE(n > 0, "divisors argument must be positive");
   std::vector<std::int64_t> out;
-  divisors_into(n, out);
+  for (std::int64_t d = 1; d * d <= n; ++d) {
+    if (n % d == 0) out.push_back(d);
+  }
+  // Mirror the small divisors into the large cofactors; walking them in
+  // descending order keeps the output ascending, and the square root (its
+  // own cofactor) is emitted once.
+  for (std::size_t i = out.size(); i > 0; --i) {
+    const std::int64_t d = out[i - 1];
+    if (d != n / d) out.push_back(n / d);
+  }
   return out;
 }
 

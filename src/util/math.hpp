@@ -3,8 +3,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "util/check.hpp"
-
 /// \file math.hpp
 /// Integer and special-function helpers shared by the scheduler, the
 /// wear-leveling arithmetic (Eqs. 5–11 of the paper) and the Weibull
@@ -29,26 +27,6 @@ namespace rota::util {
 /// Smallest multiple of `multiple` that is >= `value`.
 /// \pre value >= 0 && multiple > 0
 [[nodiscard]] std::int64_t round_up(std::int64_t value, std::int64_t multiple);
-
-/// Append all positive divisors of `n`, ascending, to `out` — any
-/// random-access container with push_back (std::vector, ArenaVector).
-/// Allocation policy is the container's: callers on a bump arena pay no
-/// heap traffic. \pre n > 0
-template <typename Container>
-void divisors_into(std::int64_t n, Container& out) {
-  ROTA_REQUIRE(n > 0, "divisors argument must be positive");
-  const std::size_t start = out.size();
-  for (std::int64_t d = 1; d * d <= n; ++d) {
-    if (n % d == 0) out.push_back(d);
-  }
-  // Mirror the small divisors into the large cofactors; walking the
-  // sources in descending order keeps the output ascending, and the
-  // square root (its own cofactor) is emitted once.
-  for (std::size_t i = out.size(); i > start; --i) {
-    const std::int64_t d = out[i - 1];
-    if (d != n / d) out.push_back(n / d);
-  }
-}
 
 /// All positive divisors of `n`, ascending.
 /// \pre n > 0

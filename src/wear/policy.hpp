@@ -93,9 +93,12 @@ class Policy {
   std::int64_t height_;
 };
 
+/// Seed of make_policy() and wear::run_policy() when the caller names none.
+inline constexpr std::uint64_t kDefaultPolicySeed = 0x9e3779b9;
+
 /// Create a policy instance. `seed` is used by kRandomStart only.
-[[nodiscard]] std::unique_ptr<Policy> make_policy(PolicyKind kind, std::int64_t width,
-                                    std::int64_t height,
-                                    std::uint64_t seed = 0x9e3779b9);
+[[nodiscard]] std::unique_ptr<Policy> make_policy(
+    PolicyKind kind, std::int64_t width, std::int64_t height,
+    std::uint64_t seed = kDefaultPolicySeed);
 
 }  // namespace rota::wear

@@ -171,15 +171,6 @@ const util::Grid<std::int64_t>& UsageTracker::usage() const {
   return usage_;
 }
 
-std::vector<double> UsageTracker::usage_as_doubles() const {
-  materialize();
-  std::vector<double> out;
-  out.reserve(usage_.size());
-  for (std::int64_t value : usage_.cells())
-    out.push_back(static_cast<double>(value));
-  return out;
-}
-
 UsageStats UsageTracker::stats() const {
   materialize();
   // The int64 sum is exact: Σ cells == total_allocations_, which the

@@ -76,9 +76,6 @@ class UsageTracker {
   /// Materialized per-PE counters.
   [[nodiscard]] const util::Grid<std::int64_t>& usage() const;
 
-  /// Usage counters as doubles, row-major (for the reliability model).
-  [[nodiscard]] std::vector<double> usage_as_doubles() const;
-
   [[nodiscard]] UsageStats stats() const;
 
   /// Reset all counters to zero.

@@ -12,6 +12,7 @@ namespace {
 
 using util::precondition_error;
 using wear::PolicyKind;
+using wear::PolicyRun;
 
 ExperimentConfig quick_config(std::int64_t iterations = 50) {
   ExperimentConfig cfg;

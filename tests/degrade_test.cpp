@@ -24,6 +24,7 @@
 #include "sched/array_state.hpp"
 #include "sched/objective.hpp"
 #include "util/check.hpp"
+#include "util/encode.hpp"
 #include "util/io.hpp"
 #include "wear/masked_policy.hpp"
 #include "wear/policy.hpp"
@@ -208,13 +209,9 @@ TEST(Degrade, StaleCheckpointIsRefused) {
 
 /// FNV-1a over `text`, as 16 hex digits.
 std::string fnv1a_hex(const std::string& text) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : text) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
   char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(h));
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(util::fnv1a64(text)));
   return buf;
 }
 
@@ -233,11 +230,7 @@ std::string report_digest(const DegradeReport& r) {
     out << ' ' << v;
   }
   out << "|alphas";
-  char buf[48];
-  for (const double a : r.live_alphas) {
-    std::snprintf(buf, sizeof buf, " %a", a);
-    out << buf;
-  }
+  for (const double a : r.live_alphas) out << ' ' << util::hexfloat(a);
   return fnv1a_hex(out.str());
 }
 

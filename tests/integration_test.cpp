@@ -16,6 +16,7 @@ namespace rota {
 namespace {
 
 using wear::PolicyKind;
+using wear::PolicyRun;
 
 // ----------------------------------------------------- work conservation ----
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <limits>
@@ -137,19 +138,23 @@ TEST(Metrics, ScopedTimerOnDisabledRegistryIsNoOp) {
 TEST(Metrics, ConcurrentHammerIsDataRaceFree) {
   // Exercised under -fsanitize=thread by the tsan preset: writers mix
   // counters/gauges/histograms while a reader snapshots JSON and a toggler
-  // flips the enabled bit.
+  // flips the enabled bit. The toggler starts only after every writer has
+  // recorded once on the still-enabled registry, so at least kWriters adds
+  // land however the threads are scheduled.
   MetricsRegistry reg;
   reg.set_enabled(true);
   constexpr int kWriters = 4;
   constexpr int kOpsPerWriter = 2000;
+  std::atomic<int> primed{0};
   std::vector<std::thread> threads;
   threads.reserve(kWriters + 2);
   for (int w = 0; w < kWriters; ++w) {
-    threads.emplace_back([&reg, w] {
+    threads.emplace_back([&reg, &primed, w] {
       for (int i = 0; i < kOpsPerWriter; ++i) {
         reg.add("hammer.count");
         reg.gauge("hammer.gauge", static_cast<double>(w));
         reg.observe("hammer.hist", static_cast<double>(i));
+        if (i == 0) primed.fetch_add(1);
       }
     });
   }
@@ -159,13 +164,14 @@ TEST(Metrics, ConcurrentHammerIsDataRaceFree) {
       ASSERT_TRUE(parses(snapshot));
     }
   });
-  threads.emplace_back([&reg] {
+  threads.emplace_back([&reg, &primed] {
+    while (primed.load() < kWriters) std::this_thread::yield();
     for (int i = 0; i < 500; ++i) reg.set_enabled(i % 2 == 0);
   });
   for (auto& t : threads) t.join();
   reg.set_enabled(true);
   // The toggler makes the exact count nondeterministic; bounds still hold.
-  EXPECT_GT(reg.counter("hammer.count"), 0);
+  EXPECT_GE(reg.counter("hammer.count"), kWriters);
   EXPECT_LE(reg.counter("hammer.count"), kWriters * kOpsPerWriter);
 }
 

@@ -291,29 +291,5 @@ TEST(ExperimentPar, RunIdenticalAcrossThreadCounts) {
   expect_same_result(serial, run_once(0));
 }
 
-TEST(ExperimentPar, SweepMatchesPerNetworkRuns) {
-  const std::vector<nn::Network> nets{nn::make_squeezenet(),
-                                      nn::make_alexnet()};
-  ExperimentConfig cfg;
-  cfg.iterations = 25;
-
-  cfg.threads = 1;
-  Experiment serial_exp(cfg);
-  std::vector<ExperimentResult> expected;
-  expected.reserve(nets.size());
-  for (const nn::Network& net : nets) {
-    expected.push_back(serial_exp.run(net, test_policies()));
-  }
-
-  cfg.threads = 8;
-  Experiment par_exp(cfg);
-  const std::vector<ExperimentResult> sweep =
-      par_exp.run_sweep(nets, test_policies());
-  ASSERT_EQ(sweep.size(), expected.size());
-  for (std::size_t n = 0; n < sweep.size(); ++n) {
-    expect_same_result(expected[n], sweep[n]);
-  }
-}
-
 }  // namespace
 }  // namespace rota

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "arch/config.hpp"
+#include "core/experiment.hpp"
 #include "nn/workloads.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
@@ -23,6 +24,7 @@
 #include "svc/engine.hpp"
 #include "svc/jsonv.hpp"
 #include "svc/request.hpp"
+#include "util/encode.hpp"
 #include "util/io.hpp"
 #include "util/result.hpp"
 
@@ -313,12 +315,30 @@ TEST(ScheduleCacheKeyTest, ObjectiveAndArrayStateNeverAlias) {
   EXPECT_NE(base.hash, degraded.hash);
 }
 
+TEST(ScheduleCacheKeyTest, FingerprintBytesArePinned) {
+  // Recorded from the stream-built derivation the string appends replaced.
+  // Disk entries embed these bytes and are named by the hash, so a one-byte
+  // change in the derivation orphans every cache directory.
+  // kind, batch, K, C, H, W, R, S, strides, pads, groups.
+  const sched::LayerShapeKey shape{0, 1, 64, 3, 224, 224, 3, 3, 2, 2, 1, 1, 1};
+  const ScheduleCacheKey weighted = ScheduleCacheKey::of(
+      arch::rota_like(), shape, sched::MapperOptions{},
+      sched::ObjectiveSpec::weighted(0.2, 0.7, 0.1), "fnv1a:00000000deadbeef",
+      4);
+  EXPECT_EQ(weighted.fingerprint,
+            "v4|exact=1|obj=weighted:0.2,0.7,0.1|ow=0.2,0.7,0.1"
+            "|arr_state=fnv1a:00000000deadbeef|arr=14x12|topo=1|word=2"
+            "|lb=24,448,48|glb=110592|net=4"
+            "|shape=0,1,64,3,224,224,3,3,2,2,1,1,1");
+  EXPECT_EQ(weighted.hash, 0xc1cd968838f68e9dULL);
+}
+
 TEST(ScheduleCacheKeyTest, StableHashIsFixedForever) {
   // The disk file name derives from this hash; changing the function
   // orphans every cache directory in existence.
-  EXPECT_EQ(stable_fingerprint_hash(""), 0xcbf29ce484222325ULL);
-  EXPECT_EQ(stable_fingerprint_hash("a"), 0xaf63dc4c8601ec8cULL);
-  EXPECT_EQ(stable_fingerprint_hash("rota"), 0xa3aa001ff10cacddULL);
+  EXPECT_EQ(util::fnv1a64(""), 0xcbf29ce484222325ULL);
+  EXPECT_EQ(util::fnv1a64("a"), 0xaf63dc4c8601ec8cULL);
+  EXPECT_EQ(util::fnv1a64("rota"), 0xa3aa001ff10cacddULL);
 }
 
 // -------------------------------------------------------- in-memory tier
@@ -527,9 +547,9 @@ TEST(EngineTest, RepeatedBatchesAreCachedAndBitIdentical) {
 
   const auto run_batch = [&] {
     std::vector<std::future<Response>> futures;
-    for (int i = 0; i < 3; ++i) {
-      futures.push_back(engine.submit(
-          quick_request("b" + std::to_string(i), RequestOp::kLifetime)));
+    for (const char* id : {"b0", "b1", "b2"}) {
+      futures.push_back(
+          engine.submit(quick_request(id, RequestOp::kLifetime)));
     }
     std::vector<Response> replies;
     for (auto& f : futures) replies.push_back(f.get());
@@ -587,6 +607,35 @@ TEST(EngineTest, EngineMatchesSerialExperimentNumbers) {
   EXPECT_EQ(stats->find("min")->as_int64().value(), expect.min);
   EXPECT_EQ(stats->find("max")->as_int64().value(), expect.max);
   EXPECT_EQ(stats->find("d_max")->as_int64().value(), expect.max_diff);
+
+  // The lifetime op: each reply's improvement (%.17g, which round-trips)
+  // equals Experiment's Eq. 4 ratio on the same request, bit for bit.
+  const Request life = quick_request("l", RequestOp::kLifetime);
+  const Response life_resp = engine.execute(life);
+  ASSERT_TRUE(life_resp.ok) << life_resp.error.message;
+  ExperimentConfig cfg;
+  cfg.accel = accel;
+  cfg.iterations = life.iterations;
+  cfg.metric = life.metric;
+  cfg.seed = life.seed;
+  Experiment exp(cfg);
+  const std::vector<wear::PolicyKind> kinds{wear::PolicyKind::kBaseline,
+                                            wear::PolicyKind::kRwl,
+                                            wear::PolicyKind::kRwlRo};
+  const ExperimentResult res = exp.run(nn::make_squeezenet(), kinds);
+  auto life_doc = JsonValue::parse(life_resp.payload_json);
+  ASSERT_TRUE(life_doc.ok()) << life_resp.payload_json;
+  const JsonValue* runs = life_doc.value().find("runs");
+  ASSERT_NE(runs, nullptr);
+  ASSERT_TRUE(runs->is_array());
+  ASSERT_EQ(runs->array().size(), kinds.size());
+  for (std::size_t i = 0; i < kinds.size(); ++i) {
+    const JsonValue& run = runs->array()[i];
+    EXPECT_EQ(run.find("policy")->str(), res.runs[i].policy_name);
+    EXPECT_EQ(run.find("improvement")->number(),
+              res.improvement_over_baseline(kinds[i]))
+        << run.find("policy")->str();
+  }
 }
 
 TEST(EngineTest, StructuredErrorsNeverUnwindTheEngine) {

@@ -3,14 +3,15 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <numeric>
 #include <sstream>
 
-#include "util/arena.hpp"
 #include "util/check.hpp"
 #include "util/csv.hpp"
+#include "util/encode.hpp"
 #include "util/grid.hpp"
 #include "util/heatmap.hpp"
 #include "util/io.hpp"
@@ -90,60 +91,18 @@ TEST(Math, DivisorsOfOne) {
   EXPECT_EQ(divisors(1), std::vector<std::int64_t>{1});
 }
 
-TEST(Math, DivisorsIntoAppendsAfterExistingContents) {
-  std::vector<std::int64_t> out{-7};
-  divisors_into(36, out);
-  const std::vector<std::int64_t> expected{-7, 1, 2, 3, 4, 6, 9, 12, 18, 36};
-  EXPECT_EQ(out, expected);  // perfect square: 6 emitted once
+TEST(Math, DivisorsOfPerfectSquareEmitTheRootOnce) {
+  const std::vector<std::int64_t> expected{1, 2, 3, 4, 6, 9, 12, 18, 36};
+  EXPECT_EQ(divisors(36), expected);
 }
 
-TEST(Arena, AllocationsAreAlignedAndDisjoint) {
-  Arena arena(64);  // small first block to force growth
-  std::vector<std::pair<std::byte*, std::size_t>> chunks;
-  std::size_t sizes[] = {1, 7, 64, 3, 256, 40};
-  for (std::size_t size : sizes) {
-    auto* p = static_cast<std::byte*>(arena.allocate(size, 16));
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % 16, 0u);
-    for (std::size_t i = 0; i < size; ++i) p[i] = std::byte{0xAB};
-    chunks.push_back({p, size});
+// --------------------------------------------------------------- encode ----
+
+TEST(Encode, HexfloatRoundTripsBitForBit) {
+  EXPECT_EQ(hexfloat(-0.5), "-0x1p-1");
+  for (const double v : {0.1, -1e-310, std::numeric_limits<double>::max()}) {
+    EXPECT_EQ(std::strtod(hexfloat(v).c_str(), nullptr), v) << hexfloat(v);
   }
-  for (std::size_t a = 0; a < chunks.size(); ++a) {
-    for (std::size_t b = a + 1; b < chunks.size(); ++b) {
-      const bool disjoint = chunks[a].first + chunks[a].second <= chunks[b].first ||
-                            chunks[b].first + chunks[b].second <= chunks[a].first;
-      EXPECT_TRUE(disjoint) << "chunks " << a << " and " << b << " overlap";
-    }
-  }
-}
-
-TEST(Arena, ResetRetainsBlocksAndReusesThem) {
-  Arena arena(128);
-  (void)arena.allocate(1000, 8);
-  const std::size_t reserved = arena.bytes_reserved();
-  EXPECT_GE(reserved, 1000u);
-  arena.reset();
-  (void)arena.allocate(1000, 8);
-  EXPECT_EQ(arena.bytes_reserved(), reserved);  // no new blocks needed
-}
-
-TEST(Arena, RejectsNonPowerOfTwoAlignment) {
-  Arena arena;
-  EXPECT_THROW((void)arena.allocate(8, 3), precondition_error);
-}
-
-TEST(Arena, VectorsDrawFromArena) {
-  Arena arena(64);
-  ArenaVector<std::int64_t> v{ArenaAllocator<std::int64_t>(arena)};
-  for (std::int64_t i = 0; i < 1000; ++i) v.push_back(i);
-  for (std::int64_t i = 0; i < 1000; ++i) ASSERT_EQ(v[static_cast<std::size_t>(i)], i);
-  EXPECT_GE(arena.bytes_reserved(), 1000 * sizeof(std::int64_t));
-
-  // divisors_into works against arena-backed containers unchanged.
-  ArenaVector<std::int64_t> divs{ArenaAllocator<std::int64_t>(arena)};
-  divisors_into(12, divs);
-  const std::vector<std::int64_t> expected{1, 2, 3, 4, 6, 12};
-  EXPECT_TRUE(std::equal(divs.begin(), divs.end(), expected.begin(),
-                         expected.end()));
 }
 
 class GcdLcmProperty : public ::testing::TestWithParam<
