@@ -21,6 +21,7 @@
 #include "fi/plan.hpp"
 #include "kern/kern.hpp"
 #include "obs/event_log.hpp"
+#include "par/thread_pool.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -379,6 +380,9 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks(&reporter);
   if (!json_path.empty()) {
     manifest.workload = "micro";
+    // The lane count a `threads = 0` run resolves to, so the Par/N rows
+    // can be read against the cores the host actually gave them.
+    manifest.extra["threads"] = std::to_string(rota::par::resolve_threads(0));
     manifest.wall_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();

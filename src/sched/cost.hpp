@@ -70,7 +70,44 @@ struct LayerBounds {
   [[nodiscard]] static LayerBounds of(const nn::LayerSpec& layer);
 };
 
+/// The terms of a mapping fixed by its spatial choice (dim_x, dim_y, sx,
+/// sy) alone: the outer level of the mapper's loop nest (DESIGN.md §14.5).
+struct SpatialTerms {
+  bool valid = false;            ///< false if a spatial check fails
+  std::int64_t k_cov = 0;        ///< output channels across the width
+  std::int64_t q_spatial = 0;    ///< output columns across the width
+  std::int64_t p_cov = 0;        ///< output rows across the height
+  std::int64_t c_spatial = 0;    ///< input channels across the height
+  std::int64_t tk = 0;           ///< output-channel tiles
+  std::int64_t tp = 0;           ///< output-row tiles
+  std::int64_t k_pad = 0;        ///< K padded to tk·k_cov
+  std::int64_t p_pad = 0;        ///< P padded to tp·p_cov
+  std::int64_t g_span = 0;       ///< groups one column-tile spans
+  std::int64_t in_rows = 0;      ///< input rows one dispatch reads
+};
+
+/// The terms fixed once lb_s and lb_c are chosen as well: the middle
+/// levels of the loop nest.
+struct ReductionTerms {
+  bool valid = false;               ///< false if any check so far fails
+  std::int64_t c_cov = 0;           ///< input channels one dispatch covers
+  std::int64_t red_steps = 0;       ///< local-buffer refills per output tile
+  std::int64_t cg_pad = 0;          ///< Cg padded to the channel tiles
+  std::int64_t s_pad = 0;           ///< S padded to the tap tiles
+  std::int64_t w_disp = 0;          ///< weight words per dispatch
+  std::int64_t weight_padded = 0;   ///< padded weight tensor, words
+  std::int64_t input_total = 0;     ///< padded input tensor, words
+  std::int64_t w_alloc = 0;         ///< weight words of one output tile
+};
+
 /// Evaluates mappings for a fixed accelerator and energy model.
+///
+/// evaluate() is the composition of three stages, one per level of the
+/// mapper's loop nest, so a search can price each level once:
+/// spatial_terms() reads dim_x, dim_y, sx and sy; reduction_terms() adds
+/// lb_s and lb_c; finish() adds lb_q. Each stage runs the feasibility
+/// checks whose inputs it fixes, and an invalid stage makes every later
+/// one invalid.
 class CostModel {
  public:
   CostModel(arch::AcceleratorConfig cfg, arch::EnergyModel energy = {});
@@ -86,7 +123,25 @@ class CostModel {
   }
   /// The same, on bounds the caller derived once for many mappings.
   [[nodiscard]] CostResult evaluate(const LayerBounds& layer,
-                                    const Mapping& m) const;
+                                    const Mapping& m) const {
+    const SpatialTerms spatial = spatial_terms(layer, m);
+    return finish(layer, spatial, reduction_terms(layer, spatial, m), m);
+  }
+
+  /// Stage 1: the terms fixed by m's dim_x, dim_y, sx and sy.
+  [[nodiscard]] SpatialTerms spatial_terms(const LayerBounds& layer,
+                                           const Mapping& m) const;
+  /// Stage 2: the terms fixed once m's lb_s and lb_c are chosen too.
+  /// `spatial` is spatial_terms() of the same layer and m's spatial fields.
+  [[nodiscard]] ReductionTerms reduction_terms(const LayerBounds& layer,
+                                               const SpatialTerms& spatial,
+                                               const Mapping& m) const;
+  /// Stage 3: the verdict of the full mapping m, lb_q included. `spatial`
+  /// and `reduction` are the earlier stages on the same layer and m.
+  [[nodiscard]] CostResult finish(const LayerBounds& layer,
+                                  const SpatialTerms& spatial,
+                                  const ReductionTerms& reduction,
+                                  const Mapping& m) const;
 
  private:
   arch::AcceleratorConfig cfg_;

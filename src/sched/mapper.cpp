@@ -1,6 +1,7 @@
 #include "sched/mapper.hpp"
 
 #include <algorithm>
+#include <string>
 #include <unordered_set>
 #include <utility>
 
@@ -147,6 +148,20 @@ LayerSchedule assemble_schedule(const nn::LayerSpec& layer, const Mapping& map,
   return sched;
 }
 
+/// The error of a search that found no feasible mapping. Built by appends:
+/// GCC 12 raises a false -Wrestrict on `"literal" + std::to_string(...)`.
+std::string no_feasible_mapping_message(const nn::LayerSpec& layer,
+                                        const ArrayState& array) {
+  std::string msg = "no feasible mapping for layer ";
+  msg += layer.name;
+  if (array.dead_count() > 0) {
+    msg += " on the degraded array (";
+    msg += std::to_string(array.dead_count());
+    msg += " dead PEs)";
+  }
+  return msg;
+}
+
 void report_candidate_metrics(const std::int64_t evaluated,
                               const std::int64_t feasible) {
   auto& reg = obs::MetricsRegistry::global();
@@ -212,21 +227,25 @@ Mapper::SearchCounters Mapper::enumerate_candidates(const nn::LayerSpec& layer,
           // any tiling choice; the whole subtree is skipped (free for the
           // all-live state, so the default search is untouched).
           if (!array_.fits(sx, sy)) continue;
+          // Each level of the nest prices the cost-model terms it fixes
+          // once; an invalid level makes every candidate below it invalid,
+          // and each of those still counts as evaluated.
+          Mapping m;
+          m.dim_x = dx;
+          m.dim_y = dy;
+          m.sx = sx;
+          m.sy = sy;
+          const SpatialTerms spatial = cost_.spatial_terms(bounds, m);
           for (std::size_t si = 0; si < lb_s_candidates.size(); ++si) {
-            const std::int64_t lb_s = lb_s_candidates[si];
-            const auto& lb_c_ladder = lb_c_ladders[si];
-            if (lb_c_ladder.empty()) continue;
-            for (std::int64_t lb_c : lb_c_ladder) {
+            m.lb_s = lb_s_candidates[si];
+            for (std::int64_t lb_c : lb_c_ladders[si]) {
+              m.lb_c = lb_c;
+              const ReductionTerms reduction =
+                  cost_.reduction_terms(bounds, spatial, m);
               for (std::int64_t lb_q : lb_q_candidates) {
-                Mapping m;
-                m.dim_x = dx;
-                m.dim_y = dy;
-                m.sx = sx;
-                m.sy = sy;
-                m.lb_c = lb_c;
                 m.lb_q = lb_q;
-                m.lb_s = lb_s;
-                const CostResult c = cost_.evaluate(bounds, m);
+                const CostResult c =
+                    cost_.finish(bounds, spatial, reduction, m);
                 ++counters.evaluated;
                 if (!c.valid) continue;
                 ++counters.feasible;
@@ -258,12 +277,7 @@ LayerSchedule Mapper::search(const nn::LayerSpec& layer) const {
         }
       });
 
-  ROTA_ENSURE(found, "no feasible mapping for layer " + layer.name +
-                         (array_.dead_count() > 0
-                              ? " on the degraded array (" +
-                                    std::to_string(array_.dead_count()) +
-                                    " dead PEs)"
-                              : std::string{}));
+  ROTA_ENSURE(found, no_feasible_mapping_message(layer, array_));
 
   report_candidate_metrics(counters.evaluated, counters.feasible);
   return assemble_schedule(layer, best_map, best_cost);
@@ -281,15 +295,21 @@ void Mapper::build_front(const nn::LayerSpec& layer,
   ParetoFrontBuilder front;
   const SearchCounters counters = enumerate_candidates(
       layer, [&](const Mapping& m, const CostResult& c) {
+        const std::int64_t pe_allocations = c.tiles * m.sx * m.sy;
+        ROTA_ENSURE(pe_allocations >= 1,
+                    "a feasible candidate allocates >= 1 PE");
+        const double mttf =
+            mttf_numerator / static_cast<double>(pe_allocations);
+        // Most candidates stop at the last dominator; test it before the
+        // point is built and anchored.
+        if (front.dominated_by_last(c.energy, mttf, c.cycles)) return;
         ParetoPoint p;
         p.mapping = m;
         p.energy = c.energy;
         p.cycles = c.cycles;
         p.tiles = c.tiles;
-        p.pe_allocations = c.tiles * m.sx * m.sy;
-        ROTA_ENSURE(p.pe_allocations >= 1,
-                    "a feasible candidate allocates >= 1 PE");
-        p.mttf = mttf_numerator / static_cast<double>(p.pe_allocations);
+        p.pe_allocations = pe_allocations;
+        p.mttf = mttf;
         const auto [u, v] = array_.anchor(m.sx, m.sy);
         p.anchor_u = u;
         p.anchor_v = v;
@@ -297,13 +317,7 @@ void Mapper::build_front(const nn::LayerSpec& layer,
       });
   front.take(points, costs);
 
-  ROTA_ENSURE(!points.empty(),
-              "no feasible mapping for layer " + layer.name +
-                  (array_.dead_count() > 0
-                       ? " on the degraded array (" +
-                             std::to_string(array_.dead_count()) +
-                             " dead PEs)"
-                       : std::string{}));
+  ROTA_ENSURE(!points.empty(), no_feasible_mapping_message(layer, array_));
 
   report_candidate_metrics(counters.evaluated, counters.feasible);
   auto& reg = obs::MetricsRegistry::global();

@@ -154,23 +154,22 @@ bool pareto_canonical_less(const ParetoPoint& a, const ParetoPoint& b) {
   return mapping_lex_less(a.mapping, b.mapping);
 }
 
-void ParetoFrontBuilder::offer(const ParetoPoint& p, const CostResult& c) {
-  ROTA_REQUIRE(std::isfinite(p.energy) && std::isfinite(p.mttf) &&
-                   std::isfinite(p.cycles),
+bool ParetoFrontBuilder::dominated_by_last(double energy, double mttf,
+                                           double cycles) const {
+  ROTA_REQUIRE(std::isfinite(energy) && std::isfinite(mttf) &&
+                   std::isfinite(cycles),
                "Pareto candidates need finite objective values");
-  const Objectives o{p.energy, p.mttf, p.cycles};
-  // `a` is no worse than `b` on every axis. For finite values, dominance
-  // is weak one way and not the other; an equal triple is weak both ways.
-  const auto weak = [](const Objectives& a, const Objectives& b) {
-    return (a.energy <= b.energy) & (a.mttf >= b.mttf) & (a.cycles <= b.cycles);
-  };
   // A dominated candidate shares its triple with no member (that member
-  // would be dominated too), so rejecting it here is what the scan below
+  // would be dominated too), so rejecting it here is what offer()'s scan
   // would do.
-  if (has_last_dominator_ && weak(last_dominator_, o) &&
-      !weak(o, last_dominator_)) {
-    return;
-  }
+  const Objectives o{energy, mttf, cycles};
+  return has_last_dominator_ && weak(last_dominator_, o) &&
+         !weak(o, last_dominator_);
+}
+
+void ParetoFrontBuilder::offer(const ParetoPoint& p, const CostResult& c) {
+  if (dominated_by_last(p.energy, p.mttf, p.cycles)) return;
+  const Objectives o{p.energy, p.mttf, p.cycles};
   std::size_t i = 0;
   while (i < keys_.size()) {
     const bool member_weak = weak(keys_[i], o);

@@ -172,9 +172,16 @@ struct NetworkParetoFront {
 /// the final set does not depend on the order candidates are offered in.
 class ParetoFrontBuilder {
  public:
-  /// Fold one candidate into the front.
-  /// \pre p's energy, mttf and cycles are finite (the cost model's are).
+  /// Fold one candidate into the front. p's energy, mttf and cycles must
+  /// be finite (the cost model's are); dominated_by_last() checks them.
   void offer(const ParetoPoint& p, const CostResult& c);
+
+  /// Whether the last dominator found dominates the triple: offer() drops
+  /// such a candidate first thing, so a caller may test this before it
+  /// builds the ParetoPoint at all.
+  /// \pre energy, mttf and cycles are finite.
+  [[nodiscard]] bool dominated_by_last(double energy, double mttf,
+                                       double cycles) const;
 
   /// Write the front to `points` and `costs` (parallel arrays, replacing
   /// their contents), canonically ordered by pareto_canonical_less, and
@@ -188,6 +195,12 @@ class ParetoFrontBuilder {
     double mttf = 0.0;
     double cycles = 0.0;
   };
+
+  /// `a` is no worse than `b` on every axis. For finite values, dominance
+  /// is weak one way and not the other; an equal triple is weak both ways.
+  [[nodiscard]] static bool weak(const Objectives& a, const Objectives& b) {
+    return (a.energy <= b.energy) & (a.mttf >= b.mttf) & (a.cycles <= b.cycles);
+  }
 
   std::vector<Objectives> keys_;  ///< keys_[i] is points_[i]'s triple
   std::vector<ParetoPoint> points_;

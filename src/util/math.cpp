@@ -21,12 +21,6 @@ std::int64_t lcm(std::int64_t a, std::int64_t b) {
   return checked_lcm(a, b);
 }
 
-std::int64_t ceil_div(std::int64_t a, std::int64_t b) {
-  ROTA_REQUIRE(a >= 0, "ceil_div numerator must be non-negative");
-  ROTA_REQUIRE(b > 0, "ceil_div denominator must be positive");
-  return (a + b - 1) / b;
-}
-
 std::int64_t round_up(std::int64_t value, std::int64_t multiple) {
   ROTA_REQUIRE(value >= 0, "round_up value must be non-negative");
   ROTA_REQUIRE(multiple > 0, "round_up multiple must be positive");

@@ -3,6 +3,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "util/check.hpp"
+
 /// \file math.hpp
 /// Integer and special-function helpers shared by the scheduler, the
 /// wear-leveling arithmetic (Eqs. 5–11 of the paper) and the Weibull
@@ -20,9 +22,14 @@ namespace rota::util {
 /// \pre a > 0 && b > 0
 [[nodiscard]] std::int64_t lcm(std::int64_t a, std::int64_t b);
 
-/// ceil(a / b) for positive integers.
+/// ceil(a / b) for positive integers. Inline: the cost model calls it
+/// for every candidate mapping the mapper prices.
 /// \pre a >= 0 && b > 0
-[[nodiscard]] std::int64_t ceil_div(std::int64_t a, std::int64_t b);
+[[nodiscard]] inline std::int64_t ceil_div(std::int64_t a, std::int64_t b) {
+  ROTA_REQUIRE(a >= 0, "ceil_div numerator must be non-negative");
+  ROTA_REQUIRE(b > 0, "ceil_div denominator must be positive");
+  return (a + b - 1) / b;
+}
 
 /// Smallest multiple of `multiple` that is >= `value`.
 /// \pre value >= 0 && multiple > 0

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdint>
+#include <cstdio>
 #include <numeric>
 #include <sstream>
 #include <unordered_set>
@@ -11,6 +13,7 @@
 
 #include "arch/config.hpp"
 #include "nn/workloads.hpp"
+#include "obs/metrics.hpp"
 #include "reliability/array_reliability.hpp"
 #include "reliability/spares.hpp"
 #include "sched/cost.hpp"
@@ -20,6 +23,7 @@
 #include "wear/policy.hpp"
 #include "wear/simulator.hpp"
 #include "util/check.hpp"
+#include "util/encode.hpp"
 #include "util/math.hpp"
 #include "util/rng.hpp"
 
@@ -139,6 +143,107 @@ TEST(CostModel, PerDispatchQuantitiesPopulated) {
   EXPECT_EQ(res.compute_macs_per_pe, 7 * 4 * 3 * 3);
   EXPECT_EQ(res.gather_words, 8 * 7 * 7);
   EXPECT_EQ(res.reduction_steps, 128);
+}
+
+// ---------------------------------------------------- cost-model goldens ----
+
+// Every field of one verdict, doubles as exact hexfloats.
+void append_cost(std::string& out, const CostResult& c) {
+  out += c.valid ? "V " : "x ";
+  out += std::to_string(static_cast<int>(c.order));
+  for (const std::int64_t v :
+       {c.tiles, c.accesses.macs, c.accesses.lb_accesses,
+        c.accesses.inter_pe_hops, c.accesses.glb_accesses,
+        c.accesses.dram_accesses, c.output_tiles, c.allocations_per_tile,
+        c.scatter_words, c.compute_macs_per_pe, c.gather_words,
+        c.reduction_steps}) {
+    out += ' ';
+    out += std::to_string(v);
+  }
+  out += ' ';
+  out += util::hexfloat(c.energy);
+  out += ' ';
+  out += util::hexfloat(c.cycles);
+  out += '\n';
+}
+
+// A value list with duplicates removed, ascending.
+std::vector<std::int64_t> grid_axis(std::vector<std::int64_t> values) {
+  std::sort(values.begin(), values.end());
+  values.erase(std::unique(values.begin(), values.end()), values.end());
+  return values;
+}
+
+// Prices a mapping grid for five anchor layers (dense 3×3, stride 2,
+// depthwise, 1×1, linear) on a 14×12 and a 16×16 array. Each axis mixes
+// exact divisors, imperfect factors, the capacity caps and one value past
+// every bound, so the grid reaches every rejection of the cost model and
+// both outer-loop orders, the resident/streamed DRAM branches and the
+// spatial-reduction hops on its valid side.
+TEST(CostModel, GoldenVerdictsOverAMappingGrid) {
+  const nn::LayerSpec layers[] = {
+      nn::conv("dense3x3", 128, 128, 28, 3, 1),
+      nn::conv("stride2", 3, 96, 224, 7, 2, 0),
+      nn::dwconv("depthwise", 144, 56, 3, 1),
+      nn::conv("pointwise", 96, 16, 55, 1, 1),
+      nn::gemm("linear", 16, 64, 256),
+  };
+  const arch::AcceleratorConfig arrays[] = {
+      arch::eyeriss_like(), arch::scaled_array(16, arch::TopologyKind::kTorus2D)};
+  std::string block_digests;
+  std::int64_t valid = 0;
+  std::int64_t invalid = 0;
+  for (const arch::AcceleratorConfig& accel : arrays) {
+    const CostModel model(accel);
+    const std::int64_t w = accel.array_width;
+    const std::int64_t h = accel.array_height;
+    const std::int64_t lb_out = accel.lb_output_words();
+    for (const nn::LayerSpec& layer : layers) {
+      const std::int64_t k = layer.out_channels;
+      const std::int64_t cg = layer.channels_per_group();
+      const std::int64_t p = layer.out_h();
+      const std::int64_t q = layer.out_w();
+      const std::int64_t s = layer.kernel_w;
+      const std::int64_t cap_c = std::min(
+          accel.lb_weight_words() / layer.kernel_h, accel.lb_input_words());
+      const auto sx_axis = grid_axis({0, 1, 2, 3, 7, 8, w - 1, w, w + 1,
+                                      std::min(k, q) + 1});
+      const auto sy_axis = grid_axis({0, 1, 2, 4, 7, h - 1, h, h + 1,
+                                      std::min(p, cg) + 1});
+      const auto lb_c_axis =
+          grid_axis({0, 1, 3, 4, std::min(cg, cap_c), cg, cg + 1});
+      const auto lb_q_axis =
+          grid_axis({0, 1, 5, 7, std::min(q, lb_out), lb_out + 1, q, q + 1});
+      const auto lb_s_axis = grid_axis({0, 1, 3, s, s + 1});
+      std::string block;
+      for (const SpatialX dx : {SpatialX::kOutChannels, SpatialX::kOutWidth}) {
+        for (const SpatialY dy :
+             {SpatialY::kOutHeight, SpatialY::kInChannels}) {
+          for (const std::int64_t sx : sx_axis) {
+            for (const std::int64_t sy : sy_axis) {
+              for (const std::int64_t lb_s : lb_s_axis) {
+                for (const std::int64_t lb_c : lb_c_axis) {
+                  for (const std::int64_t lb_q : lb_q_axis) {
+                    const Mapping m{dx, dy, sx, sy, lb_c, lb_q, lb_s};
+                    const CostResult c = model.evaluate(layer, m);
+                    ++(c.valid ? valid : invalid);
+                    append_cost(block, c);
+                  }
+                }
+              }
+            }
+          }
+        }
+      }
+      char hex[17];
+      std::snprintf(hex, sizeof hex, "%016llx",
+                    static_cast<unsigned long long>(util::fnv1a64(block)));
+      block_digests += hex;
+    }
+  }
+  EXPECT_EQ(valid, 21367);
+  EXPECT_EQ(invalid, 600745);
+  EXPECT_EQ(util::fnv1a64(block_digests), 0x567ccc367f78ba7dULL);
 }
 
 // --------------------------------------------------------------- mapper ----
@@ -336,6 +441,38 @@ TEST(Mapper, GoldenZooUtilizations) {
     const auto ns = mapper.schedule_network(nn::workload_by_abbr(abbr));
     EXPECT_NEAR(ns.mean_utilization(), util, 0.03) << abbr;
   }
+}
+
+TEST(Mapper, GoldenSearchCountersOnSqueezeNet) {
+  // Every enumerated candidate is counted as evaluated, feasible or not,
+  // so these totals pin the size of the walked mapping space.
+  auto& reg = obs::MetricsRegistry::global();
+  const bool was_enabled = reg.enabled();
+  reg.set_enabled(true);
+  const auto counters = [&reg] {
+    return std::array<std::int64_t, 3>{
+        reg.counter("mapper.candidates_evaluated"),
+        reg.counter("mapper.candidates_feasible"),
+        reg.counter("mapper.candidates_pruned")};
+  };
+  const nn::Network net = nn::make_squeezenet();
+  const auto searched = [&](const ObjectiveSpec& objective) {
+    const auto before = counters();
+    Mapper mapper(arch::eyeriss_like(), objective);
+    if (objective.kind == ObjectiveKind::kWeighted) {
+      (void)mapper.pareto_network(net);
+    } else {
+      (void)mapper.schedule_network(net);
+    }
+    auto after = counters();
+    for (std::size_t i = 0; i < after.size(); ++i) after[i] -= before[i];
+    return after;
+  };
+  const auto energy = searched(ObjectiveSpec::energy());
+  const auto weighted = searched(ObjectiveSpec::weighted(0.2, 0.7, 0.1));
+  reg.set_enabled(was_enabled);
+  EXPECT_EQ(energy, (std::array<std::int64_t, 3>{20804, 20802, 2}));
+  EXPECT_EQ(weighted, (std::array<std::int64_t, 3>{20804, 20802, 2}));
 }
 
 // ---------------------------------------------------- row-stationary ----
@@ -1051,6 +1188,38 @@ TEST(Pareto, FrontBuilderIsIndependentOfOfferOrder) {
     EXPECT_TRUE(points.empty());
     EXPECT_TRUE(costs.empty());
   }
+}
+
+TEST(Pareto, GoldenImperfectFactorWeightedFront) {
+  // Any-factor fronts reach no CLI byte gate, so one is pinned here: every
+  // field of every SqueezeNet front point, on an intact and a degraded
+  // 14×12 array.
+  const arch::AcceleratorConfig accel = arch::eyeriss_like();
+  const nn::Network net = nn::make_squeezenet();
+  std::string text;
+  for (const ArrayState& state :
+       {ArrayState{},
+        ArrayState(accel.array_width, accel.array_height, {{3, 3}, {10, 2}})}) {
+    const Mapper mapper(accel, ObjectiveSpec::weighted(0.2, 0.7, 0.1), {},
+                        MapperOptions{false, 1}, state);
+    for (const LayerParetoFront& layer : mapper.pareto_network(net).layers) {
+      text += layer.layer_name + '\n';
+      for (const ParetoPoint& p : layer.points) {
+        const Mapping& m = p.mapping;
+        for (const std::int64_t v :
+             {static_cast<std::int64_t>(m.dim_x),
+              static_cast<std::int64_t>(m.dim_y), m.sx, m.sy, m.lb_c, m.lb_q,
+              m.lb_s, p.tiles, p.pe_allocations, p.anchor_u, p.anchor_v,
+              static_cast<std::int64_t>(p.selected)}) {
+          text += std::to_string(v);
+          text += ' ';
+        }
+        text += util::hexfloat(p.energy) + ' ' + util::hexfloat(p.cycles) +
+                ' ' + util::hexfloat(p.mttf) + '\n';
+      }
+    }
+  }
+  EXPECT_EQ(util::fnv1a64(text), 0x209ce87e53c8b527ULL);
 }
 
 TEST(Pareto, LifetimeSelectionMaximizesProjectedMttf) {
