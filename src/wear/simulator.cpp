@@ -22,6 +22,20 @@ WearSimulator::WearSimulator(arch::AcceleratorConfig cfg,
 
 void WearSimulator::run_layer(const sched::LayerSchedule& layer,
                               Policy& policy) {
+  LayerCounters counters;
+  step_layer(layer, policy, counters);
+  publish(counters);
+}
+
+void WearSimulator::run_iteration(const sched::NetworkSchedule& schedule,
+                                  Policy& policy) {
+  LayerCounters counters;
+  for (const auto& layer : schedule.layers) step_layer(layer, policy, counters);
+  publish(counters);
+}
+
+void WearSimulator::step_layer(const sched::LayerSchedule& layer,
+                               Policy& policy, LayerCounters& counters) {
   const sched::UtilSpace& space = layer.space;
   ROTA_REQUIRE(space.x >= 1 && space.x <= cfg_.array_width &&
                    space.y >= 1 && space.y <= cfg_.array_height,
@@ -65,22 +79,29 @@ void WearSimulator::run_layer(const sched::LayerSchedule& layer,
     tracker_.add_space(at.u, at.v, space.x, space.y, weight, allow_wrap_);
   }
 
-  auto& reg = obs::MetricsRegistry::global();
-  if (reg.enabled()) {
-    reg.add("wear.layers");
-    reg.add("wear.tiles_fast_forwarded", fast_forwarded);
-    reg.add("wear.tiles_per_tile", per_tile);
-    // Which path handled the layer: exact periodicity fast path vs. the
-    // per-tile reference fallback (partial bulk consumption counts both).
-    if (fast_forwarded > 0) reg.add("wear.fast_forward_hits");
-    if (per_tile > 0) reg.add("wear.fast_forward_misses");
-    reg.add("wear.counter_updates", layer.tiles * space.x * space.y);
-  }
+  ++counters.layers;
+  counters.tiles_fast_forwarded += fast_forwarded;
+  counters.tiles_per_tile += per_tile;
+  // Which path handled the layer: exact periodicity fast path vs. the
+  // per-tile reference fallback (partial bulk consumption counts both).
+  if (fast_forwarded > 0) ++counters.fast_forward_hits;
+  if (per_tile > 0) ++counters.fast_forward_misses;
+  counters.counter_updates += layer.tiles * space.x * space.y;
 }
 
-void WearSimulator::run_iteration(const sched::NetworkSchedule& schedule,
-                                  Policy& policy) {
-  for (const auto& layer : schedule.layers) run_layer(layer, policy);
+void WearSimulator::publish(const LayerCounters& counters) {
+  auto& reg = obs::MetricsRegistry::global();
+  if (!reg.enabled() || counters.layers == 0) return;
+  reg.add("wear.layers", counters.layers);
+  reg.add("wear.tiles_fast_forwarded", counters.tiles_fast_forwarded);
+  reg.add("wear.tiles_per_tile", counters.tiles_per_tile);
+  if (counters.fast_forward_hits > 0) {
+    reg.add("wear.fast_forward_hits", counters.fast_forward_hits);
+  }
+  if (counters.fast_forward_misses > 0) {
+    reg.add("wear.fast_forward_misses", counters.fast_forward_misses);
+  }
+  reg.add("wear.counter_updates", counters.counter_updates);
 }
 
 void WearSimulator::run_iterations(const sched::NetworkSchedule& schedule,
@@ -106,11 +127,15 @@ void WearSimulator::run_iterations(const sched::NetworkSchedule& schedule,
   if (!sampler && options_.fast_forward && policy.pack_state_is_complete()) {
     // Iteration-period jump: step literally, noting the packed state at
     // each boundary. Once a state repeats after P iterations, the wear of
-    // every later P-iteration stretch is identical, so record one more
-    // period's usage delta and add it K times. The policy ends a whole
-    // number of periods on, in the state it already holds.
+    // every later P-iteration stretch is identical, so add one period's
+    // usage delta K times. When the repeated state is the start state, the
+    // P iterations already stepped are that period and their delta is
+    // usage(now) − usage(start); otherwise step one more period to record
+    // it. The policy ends a whole number of periods on, in the state it
+    // already holds.
     const auto cap = static_cast<std::size_t>(cfg_.array_width *
                                               cfg_.array_height) + 1;
+    std::vector<std::int64_t> before = tracker_.usage().cells();
     std::map<std::vector<std::uint64_t>, std::int64_t> seen;
     seen.emplace(policy.pack_state(), 0);
     while (done < iterations) {
@@ -121,9 +146,13 @@ void WearSimulator::run_iterations(const sched::NetworkSchedule& schedule,
         continue;
       }
       const std::int64_t period = done - at->second;
-      if (iterations - done < 2 * period) break;
-      const std::vector<std::int64_t> before = tracker_.usage().cells();
-      for (std::int64_t i = 0; i < period; ++i) step();
+      if (at->second == 0) {
+        if (iterations - done < period) break;
+      } else {
+        if (iterations - done < 2 * period) break;
+        before = tracker_.usage().cells();
+        for (std::int64_t i = 0; i < period; ++i) step();
+      }
       std::vector<std::int64_t> delta = tracker_.usage().cells();
       for (std::size_t i = 0; i < delta.size(); ++i) delta[i] -= before[i];
       const std::int64_t periods = (iterations - done) / period;

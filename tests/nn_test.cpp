@@ -2,6 +2,7 @@
 
 #include <ostream>
 #include <set>
+#include <string>
 
 #include "nn/layer.hpp"
 #include "nn/network.hpp"
@@ -210,6 +211,35 @@ TEST(WorkloadRegistry, HasNineNetworksMatchingTableII) {
 
 TEST(WorkloadRegistry, UnknownAbbreviationThrows) {
   EXPECT_THROW(workload_by_abbr("nope"), precondition_error);
+  try {
+    (void)workload_by_abbr("nope");
+    FAIL() << "no exception";
+  } catch (const precondition_error& e) {
+    const std::string what = e.what();
+    const std::string tail = " — unknown workload abbreviation: nope";
+    ASSERT_GE(what.size(), tail.size()) << what;
+    EXPECT_EQ(what.substr(what.size() - tail.size()), tail) << what;
+    EXPECT_EQ(what.rfind("precondition failed: false at ", 0), 0u) << what;
+  }
+  // Lookup is exact: no prefix or case folding.
+  EXPECT_THROW(workload_by_abbr("res"), precondition_error);
+  EXPECT_THROW(workload_by_abbr(""), precondition_error);
+}
+
+TEST(WorkloadRegistry, LookupBuildsTheZooEntryLayerByLayer) {
+  for (const Network& zoo : extended_workloads()) {
+    const Network net = workload_by_abbr(zoo.abbr());
+    EXPECT_EQ(net.name(), zoo.name());
+    EXPECT_EQ(net.abbr(), zoo.abbr());
+    EXPECT_EQ(net.domain(), zoo.domain());
+    ASSERT_EQ(net.layer_count(), zoo.layer_count()) << zoo.abbr();
+    for (std::size_t i = 0; i < zoo.layer_count(); ++i) {
+      const LayerSpec& a = net.layers()[i];
+      const LayerSpec& b = zoo.layers()[i];
+      EXPECT_EQ(a.name, b.name) << zoo.abbr() << " layer " << i;
+      EXPECT_TRUE(a.same_shape(b)) << zoo.abbr() << " " << b.name;
+    }
+  }
 }
 
 TEST(WorkloadRegistry, ExtendedZooAddsThreeNetworks) {

@@ -973,19 +973,40 @@ sched::NetworkSchedule weighted_schedule() {
   return ns;
 }
 
-/// Iterations between the first repeated iteration-boundary state and its
-/// earlier occurrence — the period the simulator detects.
-std::int64_t boundary_period(const sched::NetworkSchedule& ns,
-                             const Policy& policy) {
-  WearSimulator sim(ns.config, SimulatorOptions{false});
+/// The first repeated iteration-boundary state: the iteration `at` where
+/// it first occurred and the period P after which it recurs — what the
+/// simulator detects. The probe steps the same per-layer bulk paths as
+/// run_iterations (a masked bulk path can leave a different rotation state
+/// than the per-tile path, see below).
+struct BoundaryCycle {
+  std::int64_t at = 0;
+  std::int64_t period = 0;
+};
+
+BoundaryCycle boundary_period(const sched::NetworkSchedule& ns,
+                              const Policy& policy) {
+  WearSimulator sim(ns.config);
   const auto probe = policy.clone();
   std::map<std::vector<std::uint64_t>, std::int64_t> seen;
   seen.emplace(probe->pack_state(), 0);
   for (std::int64_t it = 1;; ++it) {
     sim.run_iteration(ns, *probe);
     const auto [at, fresh] = seen.emplace(probe->pack_state(), it);
-    if (!fresh) return it - at->second;
+    if (!fresh) return {at->second, it - at->second};
   }
+}
+
+/// Iterations run_iterations jumps, from the cycle alone: a recurring start
+/// state (at == 0) jumps once P iterations remain after its detection,
+/// any other state once 2P remain (it steps one more period first).
+std::int64_t expected_skipped(BoundaryCycle cycle, std::int64_t iterations) {
+  const std::int64_t p = cycle.period;
+  const std::int64_t detected = cycle.at + p;
+  if (cycle.at == 0) {
+    return iterations - detected >= p ? (iterations - detected) / p * p : 0;
+  }
+  if (iterations - detected < 2 * p) return 0;
+  return (iterations - detected - p) / p * p;
 }
 
 /// Counter deltas of the global registry across a scope.
@@ -1024,19 +1045,31 @@ TEST(Simulator, IterationJumpMatchesLiteralSteppingExactly) {
       const auto prototype = d == 0 ? make_policy(kind, 14, 12)
                                     : masked(kind, dead_sets[d]);
       ASSERT_TRUE(prototype->pack_state_is_complete()) << name;
-      const std::int64_t period = boundary_period(ns, *prototype);
+      const BoundaryCycle cycle = boundary_period(ns, *prototype);
+      const std::int64_t period = cycle.period;
+      // Detection needs the cycle inside the simulator's w·h+1 state cap.
+      ASSERT_LE(cycle.at + period, 14 * 12 + 1) << name;
+      // Intact stride orbits are periodic from the start state; RWL's
+      // per-layer reset makes the state after pass 1 the recurring one.
+      if (d == 0) {
+        EXPECT_EQ(cycle.at, kind == PolicyKind::kRwl ? 1 : 0) << name;
+      }
       for (WearMetric metric :
            {WearMetric::kAllocations, WearMetric::kActiveCycles}) {
         for (std::int64_t iterations :
              {std::int64_t{1}, period - 1, period, period + 1,
-              2 * period + 3, std::int64_t{1000}}) {
-          const std::string what = name + " P=" + std::to_string(period) +
+              2 * period - 1, 2 * period, 2 * period + 3, 3 * period - 1,
+              3 * period, std::int64_t{1000}}) {
+          const std::string what = name + " at=" + std::to_string(cycle.at) +
+                                   " P=" + std::to_string(period) +
                                    " iterations=" + std::to_string(iterations);
           WearSimulator jumped(arch::rota_like(),
                                SimulatorOptions{true, metric});
           auto pj = prototype->clone();
           const CounterProbe probe;
           jumped.run_iterations(ns, *pj, iterations);
+          EXPECT_EQ(probe.skipped(), expected_skipped(cycle, iterations))
+              << what;
           if (iterations == 1000) {
             EXPECT_GT(probe.skipped(), 0) << what;
           }
@@ -1106,6 +1139,133 @@ TEST(Simulator, SampledRunsStepLiterally) {
   EXPECT_GT(probe.skipped(), 0);
   EXPECT_EQ(sampled_sim.tracker().usage().cells(),
             plain_sim.tracker().usage().cells());
+}
+
+/// The six per-layer `wear.*` counters of the global registry.
+struct LayerCounts {
+  std::int64_t layers = 0;
+  std::int64_t tiles_fast_forwarded = 0;
+  std::int64_t tiles_per_tile = 0;
+  std::int64_t fast_forward_hits = 0;
+  std::int64_t fast_forward_misses = 0;
+  std::int64_t counter_updates = 0;
+
+  bool operator==(const LayerCounts&) const = default;
+};
+
+void PrintTo(const LayerCounts& c, std::ostream* os) {
+  *os << "{layers " << c.layers << ", ff " << c.tiles_fast_forwarded
+      << ", per-tile " << c.tiles_per_tile << ", hits " << c.fast_forward_hits
+      << ", misses " << c.fast_forward_misses << ", updates "
+      << c.counter_updates << "}";
+}
+
+LayerCounts read_layer_counters() {
+  const auto& reg = obs::MetricsRegistry::global();
+  return {reg.counter("wear.layers"),
+          reg.counter("wear.tiles_fast_forwarded"),
+          reg.counter("wear.tiles_per_tile"),
+          reg.counter("wear.fast_forward_hits"),
+          reg.counter("wear.fast_forward_misses"),
+          reg.counter("wear.counter_updates")};
+}
+
+LayerCounts operator-(LayerCounts a, const LayerCounts& b) {
+  a.layers -= b.layers;
+  a.tiles_fast_forwarded -= b.tiles_fast_forwarded;
+  a.tiles_per_tile -= b.tiles_per_tile;
+  a.fast_forward_hits -= b.fast_forward_hits;
+  a.fast_forward_misses -= b.fast_forward_misses;
+  a.counter_updates -= b.counter_updates;
+  return a;
+}
+
+/// Adds what one layer contributes to the counters, from the schedule and
+/// a probe policy kept in step with the simulated one: the probe's bulk
+/// path (if the simulator uses it) consumes what it can, the rest are
+/// per-tile placements.
+void add_expected(const sched::LayerSchedule& layer, Policy& probe,
+                  UsageTracker& scratch, bool fast_forward,
+                  LayerCounts& sum) {
+  probe.begin_layer(layer.space);
+  const std::int64_t bulk =
+      fast_forward ? probe.bulk_process(layer.space, layer.tiles, scratch,
+                                        true, 1)
+                   : 0;
+  for (std::int64_t t = bulk; t < layer.tiles; ++t) {
+    (void)probe.next_origin(layer.space);
+  }
+  ++sum.layers;
+  sum.tiles_fast_forwarded += bulk;
+  sum.tiles_per_tile += layer.tiles - bulk;
+  if (bulk > 0) ++sum.fast_forward_hits;
+  if (layer.tiles - bulk > 0) ++sum.fast_forward_misses;
+  sum.counter_updates += layer.tiles * layer.space.x * layer.space.y;
+}
+
+TEST(Simulator, LayerCountersEqualTheirPerLayerSums) {
+  const sched::NetworkSchedule ns = weighted_schedule();
+  const std::size_t n_layers = ns.layers.size();
+  const auto ignore = [](std::int64_t, const UsageTracker&) {};
+  std::int64_t hits = 0;
+  std::int64_t misses = 0;
+  for (const bool fast_forward : {true, false}) {
+    for (const DeadSet& dead : {DeadSet{}, DeadSet{{3, 3}, {10, 7}}}) {
+      const auto prototype = dead.empty()
+                                 ? make_policy(PolicyKind::kRwlRo, 14, 12)
+                                 : masked(PolicyKind::kRwlRo, dead);
+      const std::string what =
+          std::string(fast_forward ? "bulk" : "per-tile") +
+          " dead=" + std::to_string(dead.size());
+      WearSimulator sim(
+          arch::rota_like(),
+          SimulatorOptions{fast_forward, WearMetric::kActiveCycles});
+      const auto policy = prototype->clone();
+      const auto probe = prototype->clone();
+      UsageTracker scratch(14, 12);
+      const CounterProbe enable;
+
+      // Seven run_layer calls, cycling through the schedule's layers.
+      LayerCounts expected;
+      LayerCounts base = read_layer_counters();
+      for (std::size_t i = 0; i < 7; ++i) {
+        const sched::LayerSchedule& layer = ns.layers[i % n_layers];
+        sim.run_layer(layer, *policy);
+        add_expected(layer, *probe, scratch, fast_forward, expected);
+      }
+      EXPECT_EQ(read_layer_counters() - base, expected)
+          << what << " run_layer";
+
+      // One run_iteration.
+      expected = {};
+      base = read_layer_counters();
+      sim.run_iteration(ns, *policy);
+      for (const auto& layer : ns.layers) {
+        add_expected(layer, *probe, scratch, fast_forward, expected);
+      }
+      EXPECT_EQ(read_layer_counters() - base, expected)
+          << what << " run_iteration";
+
+      // A sampled run steps every iteration literally.
+      expected = {};
+      base = read_layer_counters();
+      sim.run_iterations(ns, *policy, 5, ignore);
+      for (int it = 0; it < 5; ++it) {
+        for (const auto& layer : ns.layers) {
+          add_expected(layer, *probe, scratch, fast_forward, expected);
+        }
+      }
+      EXPECT_EQ(read_layer_counters() - base, expected)
+          << what << " run_iterations";
+      EXPECT_EQ(expected.layers, 5 * static_cast<std::int64_t>(n_layers));
+      EXPECT_EQ(policy->pack_state(), probe->pack_state()) << what;
+      hits += expected.fast_forward_hits;
+      misses += expected.fast_forward_misses;
+    }
+  }
+  // The cases reach both the bulk and the per-tile path.
+  EXPECT_GT(hits, 0);
+  EXPECT_GT(misses, 0);
 }
 
 }  // namespace
