@@ -29,6 +29,7 @@
 #include "util/check.hpp"
 #include "util/encode.hpp"
 #include "util/io.hpp"
+#include "util/math.hpp"
 
 namespace rota::cli {
 
@@ -340,12 +341,10 @@ int cmd_serve(const Options& opt, std::istream& in, std::ostream& out) {
 }
 
 double parse_hexfloat(const std::string& text, const std::string& what) {
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str(), &end);
-  ROTA_REQUIRE(!text.empty() && end != nullptr && *end == '\0',
-               "corrupt checkpoint: field '" + what +
-                   "' is not a number: '" + text + "'");
-  return v;
+  const auto v = util::parse_f64(text);
+  ROTA_REQUIRE(v.has_value(), "corrupt checkpoint: field '" + what +
+                                  "' is not a number: '" + text + "'");
+  return *v;
 }
 
 /// Load `path` if it exists and matches this run's identity; kNotFound is
@@ -633,8 +632,7 @@ int cmd_mc(const Options& opt, std::ostream& out) {
   // the save overhead negligible against the sampling work.
   constexpr std::int64_t kChunksPerStep = 8;
   const std::int64_t total_chunks =
-      (opt.trials + rel::kMonteCarloChunkTrials - 1) /
-      rel::kMonteCarloChunkTrials;
+      util::ceil_div(opt.trials, rel::kMonteCarloChunkTrials);
   obs::ProgressReporter progress("mc " + net.abbr(), total_chunks);
   const auto save = [&] {
     if (opt.checkpoint_path.empty()) return;

@@ -1,52 +1,41 @@
 #include "cli/options.hpp"
 
-#include <cstdlib>
 #include <iterator>
 #include <string_view>
+#include <tuple>
 
 #include "util/check.hpp"
+#include "util/encode.hpp"
 
 namespace rota::cli {
 
 namespace {
 
-std::int64_t parse_positive_int(const std::string& text,
-                                const std::string& flag) {
+/// A whole base-10 integer of at least `min` (0 or 1).
+std::int64_t parse_int(const std::string& text, const std::string& flag,
+                       std::int64_t min) {
   ROTA_REQUIRE(!text.empty(), flag + " needs a value");
-  char* end = nullptr;
-  const long long v = std::strtoll(text.c_str(), &end, 10);
-  ROTA_REQUIRE(end != nullptr && *end == '\0' && v > 0,
-               flag + " expects a positive integer, got '" + text + "'");
-  return static_cast<std::int64_t>(v);
-}
-
-std::int64_t parse_non_negative_int(const std::string& text,
-                                    const std::string& flag) {
-  ROTA_REQUIRE(!text.empty(), flag + " needs a value");
-  char* end = nullptr;
-  const long long v = std::strtoll(text.c_str(), &end, 10);
-  ROTA_REQUIRE(end != nullptr && *end == '\0' && v >= 0,
-               flag + " expects a non-negative integer, got '" + text + "'");
-  return static_cast<std::int64_t>(v);
+  const auto v = util::parse_i64(text);
+  ROTA_REQUIRE(v.has_value() && *v >= min,
+               flag + (min > 0 ? " expects a positive integer, got '"
+                               : " expects a non-negative integer, got '") +
+                   text + "'");
+  return *v;
 }
 
 double parse_fraction(const std::string& text, const std::string& flag) {
   ROTA_REQUIRE(!text.empty(), flag + " needs a value");
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str(), &end);
-  ROTA_REQUIRE(end != nullptr && *end == '\0' && v > 0.0 && v <= 1.0,
+  const auto v = util::parse_f64(text);
+  ROTA_REQUIRE(v.has_value() && *v > 0.0 && *v <= 1.0,
                flag + " expects a fraction in (0, 1], got '" + text + "'");
-  return v;
+  return *v;
 }
 
 std::uint64_t parse_u64(const std::string& text, const std::string& flag) {
-  ROTA_REQUIRE(!text.empty() && text[0] != '-', flag + " expects an unsigned "
-               "integer, got '" + text + "'");
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text.c_str(), &end, 0);
-  ROTA_REQUIRE(end != nullptr && *end == '\0',
-               flag + " expects an unsigned integer, got '" + text + "'");
-  return static_cast<std::uint64_t>(v);
+  const auto v = util::parse_u64(text);
+  ROTA_REQUIRE(v.has_value(), flag + " expects an unsigned integer, got '" +
+                                  text + "'");
+  return *v;
 }
 
 /// Every flag the tool knows, for distinguishing "exists, wrong verb"
@@ -169,11 +158,11 @@ std::string verb_name(Verb verb) {
 
 void parse_geometry(const std::string& text, std::int64_t& width,
                     std::int64_t& height) {
-  const std::size_t x = text.find('x');
-  ROTA_REQUIRE(x != std::string::npos && x > 0 && x + 1 < text.size(),
-               "--array expects WxH (e.g. 14x12), got '" + text + "'");
-  width = parse_positive_int(text.substr(0, x), "--array width");
-  height = parse_positive_int(text.substr(x + 1), "--array height");
+  const auto geometry = util::parse_geometry(text);
+  ROTA_REQUIRE(geometry.has_value(),
+               "--array expects WxH with positive W and H (e.g. 14x12), got '" +
+                   text + "'");
+  std::tie(width, height) = *geometry;
 }
 
 wear::PolicyKind parse_policy(const std::string& name) {
@@ -267,9 +256,9 @@ Options parse(const std::vector<std::string>& args) {
     if (flag == "--array") {
       parse_geometry(value_of(flag), opt.array_width, opt.array_height);
     } else if (flag == "--iters") {
-      opt.iterations = parse_positive_int(value_of(flag), flag);
+      opt.iterations = parse_int(value_of(flag), flag, 1);
     } else if (flag == "--spares") {
-      opt.spares = parse_non_negative_int(value_of(flag), flag);
+      opt.spares = parse_int(value_of(flag), flag, 0);
     } else if (flag == "--policy") {
       opt.policy = parse_policy(value_of(flag));
     } else if (flag == "--metric") {
@@ -291,9 +280,9 @@ Options parse(const std::vector<std::string>& args) {
     } else if (flag == "--seed") {
       opt.seed = parse_u64(value_of(flag), flag);
     } else if (flag == "--mc") {
-      opt.mc_trials = parse_non_negative_int(value_of(flag), flag);
+      opt.mc_trials = parse_int(value_of(flag), flag, 0);
     } else if (flag == "--threads") {
-      opt.threads = parse_non_negative_int(value_of(flag), flag);
+      opt.threads = parse_int(value_of(flag), flag, 0);
     } else if (flag == "--trace") {
       opt.trace_path = value_of(flag);
     } else if (flag == "--stats-out") {
@@ -301,18 +290,18 @@ Options parse(const std::vector<std::string>& args) {
       ROTA_REQUIRE(!opt.stats_out_path.empty(),
                    "--stats-out needs a file path");
     } else if (flag == "--stats-interval") {
-      opt.stats_interval_ms = parse_positive_int(value_of(flag), flag);
+      opt.stats_interval_ms = parse_int(value_of(flag), flag, 1);
     } else if (flag == "--events") {
       opt.events_path = value_of(flag);
       ROTA_REQUIRE(!opt.events_path.empty(), "--events needs a file path");
     } else if (flag == "--cache-dir") {
       opt.cache_dir = value_of(flag);
     } else if (flag == "--cache-cap") {
-      opt.cache_capacity = parse_positive_int(value_of(flag), flag);
+      opt.cache_capacity = parse_int(value_of(flag), flag, 1);
     } else if (flag == "--batch") {
-      opt.max_batch = parse_positive_int(value_of(flag), flag);
+      opt.max_batch = parse_int(value_of(flag), flag, 1);
     } else if (flag == "--queue-cap") {
-      opt.queue_cap = parse_non_negative_int(value_of(flag), flag);
+      opt.queue_cap = parse_int(value_of(flag), flag, 0);
     } else if (flag == "--fault") {
       opt.faults.push_back(value_of(flag));
     } else if (flag == "--checkpoint") {
@@ -320,7 +309,7 @@ Options parse(const std::vector<std::string>& args) {
       ROTA_REQUIRE(!opt.checkpoint_path.empty(),
                    "--checkpoint needs a file path");
     } else if (flag == "--trials") {
-      opt.trials = parse_positive_int(value_of(flag), flag);
+      opt.trials = parse_int(value_of(flag), flag, 1);
     } else if (flag == "--objective") {
       opt.objective = value_of(flag);
       ROTA_REQUIRE(!opt.objective.empty(), "--objective needs a value");
@@ -332,7 +321,7 @@ Options parse(const std::vector<std::string>& args) {
     } else if (flag == "--retire") {
       opt.retire_fraction = parse_fraction(value_of(flag), flag);
     } else if (flag == "--ckpt-every") {
-      opt.checkpoint_every = parse_positive_int(value_of(flag), flag);
+      opt.checkpoint_every = parse_int(value_of(flag), flag, 1);
     } else if (flag == "--progress") {
       opt.progress = true;
     } else if (flag == "--verbose" || flag == "-v") {

@@ -1,6 +1,9 @@
 #include "fi/checkpoint.hpp"
 
+#include <algorithm>
+#include <cstdio>
 #include <sstream>
+#include <string_view>
 
 #include "obs/metrics.hpp"
 #include "util/check.hpp"
@@ -21,6 +24,14 @@ Error corrupt(const std::string& what) {
 bool single_line(const std::string& text) {
   return text.find('\n') == std::string::npos &&
          text.find('\r') == std::string::npos;
+}
+
+/// The digest line over `covered`, every byte that precedes it.
+std::string digest_line(std::string_view covered) {
+  char line[32];
+  std::snprintf(line, sizeof line, "digest %016llx",
+                static_cast<unsigned long long>(util::fnv1a64(covered)));
+  return line;
 }
 
 }  // namespace
@@ -45,81 +56,75 @@ std::string encode_checkpoint(const Checkpoint& checkpoint) {
     out << "field " << name << " " << blob.size() << "\n";
     out << blob << "\n";
   }
-  out << "end\n";
-  return out.str();
+  std::string text = out.str();
+  text += digest_line(text);
+  text += "\nend\n";
+  return text;
 }
 
 util::Result<Checkpoint> decode_checkpoint(const std::string& text) {
-  std::istringstream in(text);
-  std::string line;
+  const std::string_view all = text;
+  const std::string_view header = all.substr(0, all.find('\n'));
+  const std::size_t space = std::min(header.find(' '), header.size());
+  const std::string magic(header.substr(0, space));
+  const std::string version(header.substr(std::min(space + 1, header.size())));
+  if (magic != kCheckpointMagic) return corrupt("bad magic '" + magic + "'");
+  // Built with append rather than "v" + to_string(...): GCC 12 at -O3
+  // raises a spurious -Wrestrict on operator+(const char*, string&&).
+  std::string expected = "v";
+  expected += std::to_string(kCheckpointVersion);
+  if (version != expected)
+    return Error{ErrorCode::kInvalidArgument,
+                 "unsupported checkpoint version '" + version +
+                     "' (this build reads v" +
+                     std::to_string(kCheckpointVersion) + ")"};
 
-  if (!std::getline(in, line)) return corrupt("empty file");
-  {
-    std::istringstream header(line);
-    std::string magic;
-    std::string version;
-    header >> magic >> version;
-    if (magic != kCheckpointMagic) return corrupt("bad magic '" + magic + "'");
-    // Built with append rather than "v" + to_string(...): GCC 12 at -O3
-    // raises a spurious -Wrestrict on operator+(const char*, string&&).
-    std::string expected = "v";
-    expected += std::to_string(kCheckpointVersion);
-    if (version != expected)
-      return Error{ErrorCode::kInvalidArgument,
-                   "unsupported checkpoint version '" + version +
-                       "' (this build reads v" +
-                       std::to_string(kCheckpointVersion) + ")"};
-  }
+  // The record ends "digest <hex>\nend\n", the digest covering every byte
+  // before its line, so nothing below reads an altered or torn byte.
+  const std::size_t digest_at = all.rfind("\ndigest ") + 1;  // 0 if absent
+  if (digest_at <= header.size() ||
+      all.substr(digest_at) != digest_line(all.substr(0, digest_at)) + "\nend\n")
+    return corrupt("digest mismatch or no end marker (altered or torn)");
 
-  Checkpoint cp;
-  auto read_tagged = [&](const std::string& tag,
-                         std::string* value) -> bool {
-    if (!std::getline(in, line)) return false;
-    const std::string prefix = tag + " ";
-    if (line.rfind(prefix, 0) != 0) return false;
-    *value = line.substr(prefix.size());
-    return !value->empty();
+  std::string_view rest =
+      all.substr(header.size() + 1, digest_at - header.size() - 1);
+  // The payload of the next line iff it reads "<tag> <non-empty payload>".
+  const auto tagged = [&rest](std::string_view tag) -> std::string_view {
+    const std::size_t eol = std::min(rest.find('\n'), rest.size());
+    const std::string_view line = rest.substr(0, eol);
+    rest.remove_prefix(std::min(eol + 1, rest.size()));
+    if (line.size() <= tag.size() + 1 || !line.starts_with(tag) ||
+        line[tag.size()] != ' ')
+      return {};
+    return line.substr(tag.size() + 1);
   };
-  std::string progress_text;
-  if (!read_tagged("kind", &cp.kind)) return corrupt("missing kind");
-  if (!read_tagged("fingerprint", &cp.fingerprint))
-    return corrupt("missing fingerprint");
-  if (!read_tagged("progress", &progress_text))
-    return corrupt("missing progress");
-  try {
-    std::size_t used = 0;
-    cp.progress = std::stoll(progress_text, &used);
-    if (used != progress_text.size() || cp.progress < 0)
-      return corrupt("bad progress '" + progress_text + "'");
-  } catch (const std::exception&) {
-    return corrupt("bad progress '" + progress_text + "'");
-  }
+  Checkpoint cp;
+  cp.kind = tagged("kind");
+  if (cp.kind.empty()) return corrupt("missing kind");
+  cp.fingerprint = tagged("fingerprint");
+  if (cp.fingerprint.empty()) return corrupt("missing fingerprint");
+  const std::string_view progress = tagged("progress");
+  const auto parsed_progress = util::parse_i64(progress);
+  if (!parsed_progress || *parsed_progress < 0)
+    return corrupt("bad progress '" + std::string(progress) + "'");
+  cp.progress = *parsed_progress;
 
-  bool saw_end = false;
-  while (std::getline(in, line)) {
-    if (line == "end") {
-      saw_end = true;
-      break;
-    }
-    std::istringstream field(line);
-    std::string tag;
-    std::string name;
-    std::size_t bytes = 0;
-    field >> tag >> name >> bytes;
-    if (tag != "field" || name.empty() || field.fail())
-      return corrupt("bad field header '" + line + "'");
-    std::string blob(bytes, '\0');
-    if (bytes > 0 &&
-        !in.read(blob.data(), static_cast<std::streamsize>(bytes)))
-      return corrupt("truncated field '" + name + "'");
-    int newline = in.get();
-    if (newline != '\n') return corrupt("field '" + name + "' not terminated");
-    if (!cp.fields.emplace(name, std::move(blob)).second)
+  while (!rest.empty()) {
+    // "field <name> <bytes>", then exactly <bytes> raw bytes and '\n'. The
+    // size is checked against the bytes left before anything is copied.
+    const std::string_view spec = tagged("field");
+    const std::size_t gap = std::min(spec.find(' '), spec.size());
+    const std::string name(spec.substr(0, gap));
+    const auto bytes = util::parse_i64(spec.substr(std::min(gap + 1, spec.size())));
+    if (name.empty() || !bytes || *bytes < 0)
+      return corrupt("bad field header 'field " + std::string(spec) + "'");
+    const auto size = static_cast<std::uint64_t>(*bytes);
+    if (size >= rest.size() || rest[size] != '\n')
+      return corrupt("field '" + name + "' is truncated or unterminated");
+    if (!cp.fields.emplace(name, rest.substr(0, size)).second)
       return corrupt("duplicate field '" + name + "'");
+    rest.remove_prefix(size + 1);
   }
-  if (!saw_end) return corrupt("missing end marker (torn write?)");
-  if (std::getline(in, line) && !line.empty())
-    return corrupt("trailing bytes after end marker");
   return cp;
 }
 

@@ -8,23 +8,28 @@
 #include "util/retry.hpp"
 
 /// \file checkpoint.hpp
-/// Versioned checkpoint snapshots for long-running commands (`rota sweep`,
-/// `rota mc`). A checkpoint is a small text artifact:
+/// The one record envelope rota persists and reads back: checkpoints of
+/// long-running commands (`rota sweep`, `rota mc`, `rota degrade`) and
+/// schedule-cache entries (svc::encode_cache_entry). A record is a small
+/// text artifact:
 ///
-///   rota-checkpoint v1
-///   kind <sweep|mc|...>
+///   rota-checkpoint v2
+///   kind <sweep|mc|degrade|schedule-cache>
 ///   fingerprint <work-identity token>
 ///   progress <units completed>
 ///   field <name> <bytes>
 ///   <raw bytes>
 ///   ...
+///   digest <16 hex digits: FNV-1a of every byte above>
 ///   end
 ///
 /// `fingerprint` encodes the inputs that define the work (workload set,
 /// policy set, iteration count, seed, …); resuming verifies it so a
 /// checkpoint is never applied to different work. Field payloads are
 /// length-prefixed raw bytes, so carried state (CSV rows, hexfloat
-/// moment sums) round-trips bit-exactly.
+/// moment sums) round-trips bit-exactly. The digest makes any altered
+/// byte a decode error rather than different state; v1 records (no
+/// digest) are rejected as an unsupported version.
 ///
 /// Persistence is crash-safe and fault-tolerant: saves go through
 /// util::write_file_atomic (temp file + fsync + rename) wrapped in
@@ -35,7 +40,7 @@
 namespace rota::fi {
 
 inline constexpr std::string_view kCheckpointMagic = "rota-checkpoint";
-inline constexpr int kCheckpointVersion = 1;
+inline constexpr int kCheckpointVersion = 2;
 
 struct Checkpoint {
   std::string kind;         ///< which command wrote it ("sweep", "mc")
@@ -49,7 +54,8 @@ struct Checkpoint {
 [[nodiscard]] std::string encode_checkpoint(const Checkpoint& checkpoint);
 
 /// Parse; kInvalidArgument on any structural problem (bad magic, bad
-/// version, truncated payload, trailing bytes).
+/// version, a field size beyond the bytes left, truncated payload, digest
+/// mismatch, trailing bytes). Never allocates more than `text` holds.
 [[nodiscard]] util::Result<Checkpoint> decode_checkpoint(
     const std::string& text);
 

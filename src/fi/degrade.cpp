@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "fi/inject.hpp"
@@ -131,12 +132,33 @@ std::string join_i64(const std::vector<std::int64_t>& values) {
   return out.str();
 }
 
-std::vector<std::int64_t> split_i64(const std::string& text) {
-  std::istringstream in(text);
+/// The integers of a join_i64 payload. Every single-space-separated
+/// token must parse strictly; a bad one refuses the resume.
+std::vector<std::int64_t> split_i64(std::string_view text) {
   std::vector<std::int64_t> values;
-  std::int64_t v = 0;
-  while (in >> v) values.push_back(v);
+  for (std::size_t start = 0; !text.empty() && start <= text.size();) {
+    const std::size_t end = std::min(text.find(' ', start), text.size());
+    const std::string_view token = text.substr(start, end - start);
+    const auto value = util::parse_i64(token);
+    ROTA_REQUIRE(value.has_value(), "corrupt degrade checkpoint: bad integer '" +
+                                        std::string(token) + "'");
+    values.push_back(*value);
+    start = end + 1;
+  }
   return values;
+}
+
+/// The lines of a payload whose every line ends in '\n'.
+std::vector<std::string_view> split_lines(std::string_view text) {
+  ROTA_REQUIRE(text.empty() || text.back() == '\n',
+               "corrupt degrade checkpoint: unterminated line");
+  std::vector<std::string_view> lines;
+  for (std::size_t start = 0; start < text.size();) {
+    const std::size_t end = text.find('\n', start);
+    lines.push_back(text.substr(start, end - start));
+    start = end + 1;
+  }
+  return lines;
 }
 
 std::string encode_events(const std::vector<TimelineEvent>& events) {
@@ -149,18 +171,16 @@ std::string encode_events(const std::vector<TimelineEvent>& events) {
   return out.str();
 }
 
-std::vector<TimelineEvent> decode_events(const std::string& text) {
-  std::istringstream in(text);
+std::vector<TimelineEvent> decode_events(std::string_view text) {
   std::vector<TimelineEvent> events;
-  TimelineEvent e;
-  int restore = 0;
-  int kind = 0;
-  while (in >> e.iteration >> restore >> kind >> e.u >> e.v >> e.rank >>
-         e.restore_after) {
-    e.is_restore = restore != 0;
-    ROTA_REQUIRE(kind >= 0 && kind <= 2, "corrupt degrade checkpoint event");
-    e.kind = static_cast<HardwareFaultKind>(kind);
-    events.push_back(e);
+  for (const std::string_view line : split_lines(text)) {
+    const std::vector<std::int64_t> f = split_i64(line);
+    ROTA_REQUIRE(f.size() == 7 && (f[1] == 0 || f[1] == 1) && f[2] >= 0 &&
+                     f[2] <= 2,
+                 "corrupt degrade checkpoint event '" + std::string(line) +
+                     "'");
+    events.push_back({f[0], f[1] == 1, static_cast<HardwareFaultKind>(f[2]),
+                      f[3], f[4], f[5], f[6]});
   }
   return events;
 }
@@ -315,22 +335,21 @@ DegradeReport run_degraded_lifetime(const arch::AcceleratorConfig& config,
     const std::vector<std::int64_t> words = split_i64(field("policy_state"));
     policy.unpack_state(
         std::vector<std::uint64_t>(words.begin(), words.end()));
-    {  // Replay the remapper operation log; stats replay with it.
-      std::istringstream ops(field("oplog"));
-      std::string op;
-      std::int64_t u = 0;
-      std::int64_t v = 0;
-      while (ops >> op >> u >> v) {
-        if (op == "F") {
-          (void)remapper.fault_primary(u, v);
-        } else if (op == "R") {
-          remapper.restore_primary(u, v);
-        } else {
-          ROTA_REQUIRE(false, "corrupt degrade checkpoint oplog");
-        }
-        oplog.push_back(op + " " + std::to_string(u) + " " +
-                        std::to_string(v));
+    // Replay the remapper operation log ("F u v" / "R u v" lines); stats
+    // replay with it.
+    for (const std::string_view op : split_lines(field("oplog"))) {
+      const bool fault = op.starts_with("F ");
+      ROTA_REQUIRE(fault || op.starts_with("R "),
+                   "corrupt degrade checkpoint oplog '" + std::string(op) + "'");
+      const std::vector<std::int64_t> uv = split_i64(op.substr(2));
+      ROTA_REQUIRE(uv.size() == 2, "corrupt degrade checkpoint oplog '" +
+                                       std::string(op) + "'");
+      if (fault) {
+        (void)remapper.fault_primary(uv[0], uv[1]);
+      } else {
+        remapper.restore_primary(uv[0], uv[1]);
       }
+      oplog.emplace_back(op);
     }
     pending = decode_events(field("pending"));
     weibull_count = 0;  // resolved before the first checkpoint boundary
@@ -345,11 +364,8 @@ DegradeReport run_degraded_lifetime(const arch::AcceleratorConfig& config,
     report.lost_units = counters[6];
     report.first_unspared_at = counters[7];
     report.timeline_csv = field("csv");
-    {
-      std::istringstream lines(field("events"));
-      std::string line;
-      while (std::getline(lines, line)) report.events.push_back(line);
-    }
+    for (const std::string_view line : split_lines(field("events")))
+      report.events.emplace_back(line);
     // Rebuild the schedule from the live map it was *scheduled* with (the
     // remapper may have drifted past it at an un-rebuilt horizon
     // boundary); this reproduces the in-effect schedule byte-for-byte.

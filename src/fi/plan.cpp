@@ -1,8 +1,8 @@
 #include "fi/plan.hpp"
 
-#include <cerrno>
-#include <cstdlib>
 #include <sstream>
+
+#include "util/encode.hpp"
 
 namespace rota::fi {
 
@@ -27,22 +27,11 @@ std::vector<std::string> split(std::string_view text, char sep) {
   return out;
 }
 
-bool parse_number(const std::string& text, double* out) {
-  errno = 0;
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  if (errno != 0 || end == text.c_str() || *end != '\0') return false;
-  *out = value;
-  return true;
-}
-
+/// util::parse_i64 into an out-parameter, for the chained checks below.
 bool parse_integer(const std::string& text, std::int64_t* out) {
-  errno = 0;
-  char* end = nullptr;
-  const long long value = std::strtoll(text.c_str(), &end, 10);
-  if (errno != 0 || end == text.c_str() || *end != '\0') return false;
-  *out = static_cast<std::int64_t>(value);
-  return true;
+  const auto value = util::parse_i64(text);
+  if (value) *out = *value;
+  return value.has_value();
 }
 
 Error bad_spec(const std::string& what) {
@@ -51,11 +40,11 @@ Error bad_spec(const std::string& what) {
 
 util::Result<double> parse_rate(const std::string& key,
                                 const std::string& value) {
-  double rate = 0.0;
-  if (!parse_number(value, &rate) || rate < 0.0 || rate > 1.0)
+  const auto rate = util::parse_f64(value);
+  if (!rate || !(*rate >= 0.0 && *rate <= 1.0))  // NaN fails both sides
     return bad_spec("fault rate '" + key + "' must be a number in [0, 1], got '" +
                     value + "'");
-  return rate;
+  return *rate;
 }
 
 }  // namespace

@@ -68,7 +68,8 @@ struct ChunkBounds {
 ChunkBounds chunk_bounds(std::int64_t chunk, std::int64_t chunk_trials,
                          std::int64_t trials) {
   const std::int64_t begin = chunk * chunk_trials;
-  return {begin, std::min(trials, begin + chunk_trials)};
+  // trials - begin, not begin + chunk_trials: exact up to INT64_MAX.
+  return {begin, begin + std::min(chunk_trials, trials - begin)};
 }
 
 /// Per-call state of the vectorized failure sampler. The array failure

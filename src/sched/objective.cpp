@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <numeric>
 #include <tuple>
 
 #include "util/check.hpp"
+#include "util/encode.hpp"
 
 namespace rota::sched {
 
@@ -21,7 +21,7 @@ std::string round_trip_double(double value) {
   char buf[64];
   for (int precision = 1; precision <= 17; ++precision) {
     std::snprintf(buf, sizeof buf, "%.*g", precision, value);
-    if (std::strtod(buf, nullptr) == value) break;
+    if (util::parse_f64(buf) == value) break;
   }
   return buf;
 }
@@ -44,12 +44,11 @@ util::Result<double> parse_weight(std::string_view token,
                            std::string(whole) + "': " + why};
   };
   if (text.empty()) return bad("empty");
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  if (end != text.c_str() + text.size()) return bad("not a number");
-  if (!std::isfinite(value)) return bad("not finite");
-  if (value < 0.0) return bad("negative");
-  return value;
+  const auto value = util::parse_f64(text);
+  if (!value) return bad("not a number");
+  if (!std::isfinite(*value)) return bad("not finite");
+  if (*value < 0.0) return bad("negative");
+  return *value;
 }
 
 }  // namespace

@@ -1,12 +1,12 @@
 #include "sched/serialize.hpp"
 
-#include <cstdlib>
 #include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "util/check.hpp"
+#include "util/encode.hpp"
 
 namespace rota::sched {
 
@@ -28,19 +28,17 @@ std::vector<std::string> split_csv_line(const std::string& line) {
 }
 
 std::int64_t to_int(const std::string& text, const std::string& what) {
-  char* end = nullptr;
-  const long long v = std::strtoll(text.c_str(), &end, 10);
-  ROTA_REQUIRE(!text.empty() && end != nullptr && *end == '\0',
+  const auto v = util::parse_i64(text);
+  ROTA_REQUIRE(v.has_value(),
                "expected an integer for " + what + ", got '" + text + "'");
-  return static_cast<std::int64_t>(v);
+  return *v;
 }
 
 double to_double(const std::string& text, const std::string& what) {
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str(), &end);
-  ROTA_REQUIRE(!text.empty() && end != nullptr && *end == '\0',
+  const auto v = util::parse_f64(text);
+  ROTA_REQUIRE(v.has_value(),
                "expected a number for " + what + ", got '" + text + "'");
-  return v;
+  return *v;
 }
 
 }  // namespace

@@ -1,26 +1,16 @@
 #include "svc/cache.hpp"
 
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
+#include <utility>
 
+#include "fi/checkpoint.hpp"
 #include "obs/metrics.hpp"
 #include "util/check.hpp"
 #include "util/encode.hpp"
 #include "util/io.hpp"
 
 namespace rota::svc {
-
-namespace {
-
-/// Entry format version. Bump on any layout change: readers reject
-/// unknown versions (treated as a miss and recomputed).
-constexpr int kCacheFormatVersion = 1;
-constexpr const char* kMagic = "rota-schedule-cache";
-
-}  // namespace
 
 ScheduleCacheKey ScheduleCacheKey::of(const arch::AcceleratorConfig& accel,
                                       const sched::LayerShapeKey& shape,
@@ -68,78 +58,58 @@ ScheduleCacheKey ScheduleCacheKey::of(const arch::AcceleratorConfig& accel,
 
 // ------------------------------------------------------- entry encoding --
 
-std::string encode_cache_entry(const ScheduleCacheKey& key,
-                               const sched::LayerSchedule& value) {
-  std::ostringstream os;
-  os << kMagic << " v" << kCacheFormatVersion << '\n'
-     << "fingerprint " << key.fingerprint << '\n'
-     << "shape_key " << value.shape_key << '\n'
-     << "space " << value.space.x << ' ' << value.space.y << '\n'
-     << "tiles " << value.tiles << '\n'
-     << "output_tiles " << value.output_tiles << '\n'
-     << "allocations_per_tile " << value.allocations_per_tile << '\n'
-     << "reduction_steps " << value.reduction_steps << '\n'
-     << "scatter_words " << value.scatter_words << '\n'
-     << "compute_macs_per_pe " << value.compute_macs_per_pe << '\n'
-     << "gather_words " << value.gather_words << '\n'
-     << "macs " << value.macs << '\n'
-     << "mapping " << static_cast<int>(value.mapping.dim_x) << ' '
-     << static_cast<int>(value.mapping.dim_y) << ' ' << value.mapping.sx
-     << ' ' << value.mapping.sy << ' ' << value.mapping.lb_c << ' '
-     << value.mapping.lb_q << ' ' << value.mapping.lb_s << '\n'
-     << "accesses " << value.accesses.macs << ' ' << value.accesses.lb_accesses
-     << ' ' << value.accesses.inter_pe_hops << ' '
-     << value.accesses.glb_accesses << ' ' << value.accesses.dram_accesses
-     << '\n'
-     << "energy " << util::hexfloat(value.energy) << '\n'
-     << "cycles " << util::hexfloat(value.cycles) << '\n'
-     << "end\n";
-  return os.str();
-}
-
 namespace {
 
-/// Line-oriented reader: `take("tiles")` returns the payload of the next
-/// line iff it starts with that tag, else flags corruption.
-class EntryReader {
- public:
-  explicit EntryReader(std::string_view text) : in_(std::string(text)) {}
+/// The fi::Checkpoint kind of a cache entry record.
+constexpr std::string_view kEntryKind = "schedule-cache";
 
-  bool take(const std::string& tag, std::string& payload) {
-    std::string line;
-    if (!std::getline(in_, line)) return false;
-    if (line.rfind(tag + " ", 0) != 0 && line != tag) return false;
-    payload = line.size() > tag.size() ? line.substr(tag.size() + 1) : "";
-    return true;
-  }
-
-  bool take_i64(const std::string& tag, std::int64_t& out) {
-    std::string payload;
-    if (!take(tag, payload)) return false;
-    return parse_i64(payload, out);
-  }
-
-  static bool parse_i64(const std::string& text, std::int64_t& out) {
-    if (text.empty()) return false;
-    char* end = nullptr;
-    const long long v = std::strtoll(text.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0') return false;
-    out = static_cast<std::int64_t>(v);
-    return true;
-  }
-
-  static bool parse_double(const std::string& text, double& out) {
-    if (text.empty()) return false;
-    char* end = nullptr;
-    out = std::strtod(text.c_str(), &end);
-    return end != nullptr && *end == '\0';
-  }
-
- private:
-  std::istringstream in_;
-};
+/// Every integer member of a LayerSchedule, each under its record field
+/// name (Schedule is LayerSchedule or const LayerSchedule).
+template <typename Schedule>
+auto int_fields(Schedule& s) {
+  using Slot = decltype(&s.tiles);
+  return std::array<std::pair<const char*, Slot>, 20>{{
+      {"space.x", &s.space.x},
+      {"space.y", &s.space.y},
+      {"tiles", &s.tiles},
+      {"output_tiles", &s.output_tiles},
+      {"allocations_per_tile", &s.allocations_per_tile},
+      {"reduction_steps", &s.reduction_steps},
+      {"scatter_words", &s.scatter_words},
+      {"compute_macs_per_pe", &s.compute_macs_per_pe},
+      {"gather_words", &s.gather_words},
+      {"macs", &s.macs},
+      {"mapping.sx", &s.mapping.sx},
+      {"mapping.sy", &s.mapping.sy},
+      {"mapping.lb_c", &s.mapping.lb_c},
+      {"mapping.lb_q", &s.mapping.lb_q},
+      {"mapping.lb_s", &s.mapping.lb_s},
+      {"accesses.macs", &s.accesses.macs},
+      {"accesses.lb_accesses", &s.accesses.lb_accesses},
+      {"accesses.inter_pe_hops", &s.accesses.inter_pe_hops},
+      {"accesses.glb_accesses", &s.accesses.glb_accesses},
+      {"accesses.dram_accesses", &s.accesses.dram_accesses},
+  }};
+}
 
 }  // namespace
+
+std::string encode_cache_entry(const ScheduleCacheKey& key,
+                               const sched::LayerSchedule& value) {
+  fi::Checkpoint record;
+  record.kind = kEntryKind;
+  record.fingerprint = key.fingerprint;
+  record.fields["shape_key"] = value.shape_key;
+  for (const auto& [name, slot] : int_fields(value))
+    record.fields[name] = std::to_string(*slot);
+  record.fields["mapping.dim_x"] =
+      std::to_string(static_cast<int>(value.mapping.dim_x));
+  record.fields["mapping.dim_y"] =
+      std::to_string(static_cast<int>(value.mapping.dim_y));
+  record.fields["energy"] = util::hexfloat(value.energy);
+  record.fields["cycles"] = util::hexfloat(value.cycles);
+  return fi::encode_checkpoint(record);
+}
 
 util::Result<sched::LayerSchedule> decode_cache_entry(
     std::string_view text, const ScheduleCacheKey& key) {
@@ -147,89 +117,42 @@ util::Result<sched::LayerSchedule> decode_cache_entry(
     return util::Error{util::ErrorCode::kInvalidArgument,
                        "cache entry " + what};
   };
-  EntryReader reader(text);
-  std::string payload;
-  // Built with append rather than "v" + to_string(...): GCC 12 at -O3
-  // raises a spurious -Wrestrict on operator+(const char*, string&&).
-  std::string expected_version = "v";
-  expected_version += std::to_string(kCacheFormatVersion);
-  if (!reader.take(kMagic, payload) || payload != expected_version) {
-    return corrupt("has a missing or unsupported format header");
-  }
-  if (!reader.take("fingerprint", payload) || payload != key.fingerprint) {
+  auto record = fi::decode_checkpoint(std::string(text));
+  if (!record.ok()) return corrupt("is unreadable: " + record.error().message);
+  const fi::Checkpoint& cp = record.value();
+  if (cp.kind != kEntryKind || cp.progress != 0)
+    return corrupt("is not a schedule-cache record");
+  if (cp.fingerprint != key.fingerprint)
     return corrupt("fingerprint does not match the requested key");
-  }
 
+  const auto field = [&cp](const std::string& name) -> std::string_view {
+    const auto found = cp.fields.find(name);
+    return found == cp.fields.end() ? std::string_view{} : found->second;
+  };
   sched::LayerSchedule out;
-  if (!reader.take("shape_key", out.shape_key))
-    return corrupt("is missing shape_key");
-
-  std::string space;
-  if (!reader.take("space", space)) return corrupt("is missing space");
-  {
-    std::istringstream ss(space);
-    if (!(ss >> out.space.x >> out.space.y) || out.space.x < 1 ||
-        out.space.y < 1) {
-      return corrupt("has a malformed space line");
-    }
+  out.shape_key = field("shape_key");
+  for (const auto& [name, slot] : int_fields(out)) {
+    const auto v = util::parse_i64(field(name));
+    if (!v) return corrupt(std::string("has a malformed ") + name + " field");
+    *slot = *v;
   }
-
-  struct Field {
-    const char* tag;
-    std::int64_t* slot;
-  };
-  const Field fields[] = {
-      {"tiles", &out.tiles},
-      {"output_tiles", &out.output_tiles},
-      {"allocations_per_tile", &out.allocations_per_tile},
-      {"reduction_steps", &out.reduction_steps},
-      {"scatter_words", &out.scatter_words},
-      {"compute_macs_per_pe", &out.compute_macs_per_pe},
-      {"gather_words", &out.gather_words},
-      {"macs", &out.macs},
-  };
-  for (const Field& f : fields) {
-    if (!reader.take_i64(f.tag, *f.slot))
-      return corrupt(std::string("has a malformed ") + f.tag + " line");
-  }
-  if (out.tiles < 1) return corrupt("has a non-positive tile count");
-
-  if (!reader.take("mapping", payload))
-    return corrupt("is missing the mapping line");
-  {
-    std::istringstream ss(payload);
-    int dim_x = 0;
-    int dim_y = 0;
-    if (!(ss >> dim_x >> dim_y >> out.mapping.sx >> out.mapping.sy >>
-          out.mapping.lb_c >> out.mapping.lb_q >> out.mapping.lb_s) ||
-        dim_x < 0 || dim_x > 1 || dim_y < 0 || dim_y > 1) {
-      return corrupt("has a malformed mapping line");
-    }
-    out.mapping.dim_x = static_cast<sched::SpatialX>(dim_x);
-    out.mapping.dim_y = static_cast<sched::SpatialY>(dim_y);
-  }
-
-  if (!reader.take("accesses", payload))
-    return corrupt("is missing the accesses line");
-  {
-    std::istringstream ss(payload);
-    if (!(ss >> out.accesses.macs >> out.accesses.lb_accesses >>
-          out.accesses.inter_pe_hops >> out.accesses.glb_accesses >>
-          out.accesses.dram_accesses)) {
-      return corrupt("has a malformed accesses line");
-    }
-  }
-
-  if (!reader.take("energy", payload) ||
-      !EntryReader::parse_double(payload, out.energy)) {
-    return corrupt("has a malformed energy line");
-  }
-  if (!reader.take("cycles", payload) ||
-      !EntryReader::parse_double(payload, out.cycles)) {
-    return corrupt("has a malformed cycles line");
-  }
-  if (!reader.take("end", payload))
-    return corrupt("is truncated (missing end marker)");
+  const auto dim_x = util::parse_i64(field("mapping.dim_x"));
+  const auto dim_y = util::parse_i64(field("mapping.dim_y"));
+  const auto energy = util::parse_f64(field("energy"));
+  const auto cycles = util::parse_f64(field("cycles"));
+  if (!dim_x || !dim_y || *dim_x < 0 || *dim_x > 1 || *dim_y < 0 ||
+      *dim_y > 1 || !energy || !cycles)
+    return corrupt("has a malformed mapping, energy or cycles field");
+  if (out.tiles < 1 || out.space.x < 1 || out.space.y < 1)
+    return corrupt("has a non-positive tile count or space");
+  // shape_key, the integers, two dims, energy and cycles; nothing else.
+  if (cp.fields.size() != int_fields(out).size() + 5 ||
+      cp.fields.count("shape_key") == 0)
+    return corrupt("has unexpected fields");
+  out.mapping.dim_x = static_cast<sched::SpatialX>(*dim_x);
+  out.mapping.dim_y = static_cast<sched::SpatialY>(*dim_y);
+  out.energy = *energy;
+  out.cycles = *cycles;
   return out;
 }
 
@@ -254,11 +177,8 @@ ScheduleCache::ScheduleCache(ScheduleCacheOptions options)
     if (std::filesystem::remove(entry.path(), remove_ec)) ++removed;
   }
   if (removed > 0) {
-    obs::MetricsRegistry::global().add("svc.cache.orphans_removed", removed);
-    // Construction is single-threaded, but the capability model has no
-    // "not yet published" notion — take the lock like everyone else.
-    const util::MutexLock stats_lock(stats_mu_);
-    stats_.orphans_removed = removed;
+    count("svc.cache.orphans_removed", &ScheduleCacheStats::orphans_removed,
+          removed);
   }
 }
 
@@ -286,23 +206,17 @@ std::optional<sched::LayerSchedule> ScheduleCache::lookup(
     const auto it = shard.map.find(key.fingerprint);
     if (it != shard.map.end()) {
       shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_pos);
-      obs::MetricsRegistry::global().add("svc.cache.hits_mem");
-      const util::MutexLock stats_lock(stats_mu_);
-      ++stats_.hits_memory;
+      count("svc.cache.hits_mem", &ScheduleCacheStats::hits_memory);
       return it->second.value;
     }
   }
   if (auto from_disk = load_from_disk(key)) {
     // Promote into memory so the next probe is lock-and-return.
     insert_memory_only(key, *from_disk);
-    obs::MetricsRegistry::global().add("svc.cache.hits_disk");
-    const util::MutexLock stats_lock(stats_mu_);
-    ++stats_.hits_disk;
+    count("svc.cache.hits_disk", &ScheduleCacheStats::hits_disk);
     return from_disk;
   }
-  obs::MetricsRegistry::global().add("svc.cache.misses");
-  const util::MutexLock stats_lock(stats_mu_);
-  ++stats_.misses;
+  count("svc.cache.misses", &ScheduleCacheStats::misses);
   return std::nullopt;
 }
 
@@ -337,9 +251,7 @@ void ScheduleCache::insert_memory_only(const ScheduleCacheKey& key,
     }
   }
   if (evicted > 0) {
-    obs::MetricsRegistry::global().add("svc.cache.evictions", evicted);
-    const util::MutexLock stats_lock(stats_mu_);
-    stats_.evictions += evicted;
+    count("svc.cache.evictions", &ScheduleCacheStats::evictions, evicted);
   }
 }
 
@@ -353,24 +265,19 @@ std::optional<sched::LayerSchedule> ScheduleCache::load_from_disk(
         options_.retry, key.hash,
         [&] { return util::read_text_file_if_exists(path); },
         [&](int /*attempt*/, const util::io_error&) {
-          obs::MetricsRegistry::global().add("svc.cache.disk_read_retries");
-          const util::MutexLock stats_lock(stats_mu_);
-          ++stats_.disk_read_retries;
+          count("svc.cache.disk_read_retries",
+                &ScheduleCacheStats::disk_read_retries);
         });
   } catch (const util::io_error&) {
     // Persistently unreadable: degrade to a miss and recompute.
-    obs::MetricsRegistry::global().add("svc.cache.disk_corrupt");
-    const util::MutexLock stats_lock(stats_mu_);
-    ++stats_.disk_corrupt;
+    count("svc.cache.disk_corrupt", &ScheduleCacheStats::disk_corrupt);
     return std::nullopt;
   }
   if (!content.has_value())
     return std::nullopt;  // plain miss: the entry was never written
   auto decoded = decode_cache_entry(*content, key);
   if (!decoded.ok()) {
-    obs::MetricsRegistry::global().add("svc.cache.disk_corrupt");
-    const util::MutexLock stats_lock(stats_mu_);
-    ++stats_.disk_corrupt;
+    count("svc.cache.disk_corrupt", &ScheduleCacheStats::disk_corrupt);
     return std::nullopt;
   }
   return std::move(decoded).take();
@@ -380,9 +287,7 @@ void ScheduleCache::store_to_disk(const ScheduleCacheKey& key,
                                   const sched::LayerSchedule& value) {
   try {
     std::filesystem::create_directories(options_.disk_dir);
-    sched::LayerSchedule stored = value;
-    stored.layer_name.clear();
-    const std::string encoded = encode_cache_entry(key, stored);
+    const std::string encoded = encode_cache_entry(key, value);
     const std::string path = disk_path(key);
     // Atomic commit: concurrent readers see the old entry or the new one,
     // never a torn file, and a crash leaves only a (swept) .tmp behind.
@@ -390,16 +295,22 @@ void ScheduleCache::store_to_disk(const ScheduleCacheKey& key,
         options_.retry, key.hash,
         [&] { util::write_file_atomic(path, encoded); },
         [&](int /*attempt*/, const util::io_error&) {
-          obs::MetricsRegistry::global().add("svc.cache.disk_write_retries");
-          const util::MutexLock stats_lock(stats_mu_);
-          ++stats_.disk_write_retries;
+          count("svc.cache.disk_write_retries",
+                &ScheduleCacheStats::disk_write_retries);
         });
   } catch (const std::exception&) {
     // Best-effort tier: a read-only or full disk degrades to memory-only.
-    obs::MetricsRegistry::global().add("svc.cache.disk_write_failures");
-    const util::MutexLock stats_lock(stats_mu_);
-    ++stats_.disk_write_failures;
+    count("svc.cache.disk_write_failures",
+          &ScheduleCacheStats::disk_write_failures);
   }
+}
+
+void ScheduleCache::count(const char* metric,
+                          std::int64_t ScheduleCacheStats::*field,
+                          std::int64_t n) {
+  obs::MetricsRegistry::global().add(metric, n);
+  const util::MutexLock stats_lock(stats_mu_);
+  stats_.*field += n;
 }
 
 ScheduleCacheStats ScheduleCache::stats() const {

@@ -137,6 +137,10 @@ class ScheduleCache {
   void store_to_disk(const ScheduleCacheKey& key,
                      const sched::LayerSchedule& value);
 
+  /// Add `n` to the registry counter `metric` and to `stats_.*field`.
+  void count(const char* metric, std::int64_t ScheduleCacheStats::*field,
+             std::int64_t n = 1) ROTA_EXCLUDES(stats_mu_);
+
   ScheduleCacheOptions options_;
   std::array<Shard, kShards> shards_;
 
@@ -144,13 +148,16 @@ class ScheduleCache {
   ScheduleCacheStats stats_ ROTA_GUARDED_BY(stats_mu_);
 };
 
-/// Serialize one cache entry (versioned textual format; see cache.cpp).
+/// Serialize one cache entry as a fi::Checkpoint record (DESIGN.md §10):
+/// kind "schedule-cache", the key's fingerprint, progress 0, and one field
+/// per LayerSchedule member in decimal or hexfloat (`layer_name` is not
+/// stored).
 [[nodiscard]] std::string encode_cache_entry(const ScheduleCacheKey& key,
                                              const sched::LayerSchedule& value);
 
-/// Parse a cache entry, verifying the format version and that the stored
-/// fingerprint matches `key`. Any mismatch, truncation or garbage yields
-/// an error — callers treat it as a miss.
+/// Parse a cache entry, verifying the record envelope (version, digest)
+/// and that the stored fingerprint matches `key`. Any mismatch, truncation
+/// or garbage yields an error — callers treat it as a miss.
 [[nodiscard]] util::Result<sched::LayerSchedule> decode_cache_entry(
     std::string_view text, const ScheduleCacheKey& key);
 

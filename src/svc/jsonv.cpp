@@ -2,9 +2,9 @@
 
 #include <cctype>
 #include <cmath>
-#include <cstdlib>
 
 #include "util/check.hpp"
+#include "util/encode.hpp"
 
 namespace rota::svc {
 
@@ -175,11 +175,10 @@ class JsonParser {
       while (!at_end() && std::isdigit(static_cast<unsigned char>(peek())))
         ++pos_;
     }
-    const std::string token(text_.substr(start, pos_ - start));
+    const auto number = util::parse_f64(text_.substr(start, pos_ - start));
+    if (!number) return fail_at("number out of range");
     out.kind_ = JsonValue::Kind::kNumber;
-    out.number_ = std::strtod(token.c_str(), nullptr);
-    if (!std::isfinite(out.number_))
-      return fail_at("number out of range");
+    out.number_ = *number;
     return true;
   }
 

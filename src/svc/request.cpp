@@ -1,11 +1,13 @@
 #include "svc/request.hpp"
 
 #include <sstream>
+#include <tuple>
 
 #include "obs/json.hpp"
 #include "sched/objective.hpp"
 #include "svc/jsonv.hpp"
 #include "util/check.hpp"
+#include "util/encode.hpp"
 
 namespace rota::svc {
 
@@ -59,28 +61,12 @@ util::Result<wear::PolicyKind> parse_policy_name(const std::string& name) {
 /// "WxH" with positive components.
 util::Result<util::Unit> parse_array_field(const std::string& text,
                                            Request& req) {
-  const std::size_t x = text.find('x');
-  const auto bad = [&] {
+  const auto geometry = util::parse_geometry(text);
+  if (!geometry)
     return util::Error{ErrorCode::kInvalidArgument,
                        "field 'array' expects \"WxH\" (e.g. \"14x12\"), got '" +
                            text + "'"};
-  };
-  if (x == std::string::npos || x == 0 || x + 1 >= text.size()) return bad();
-  std::int64_t width = 0;
-  std::int64_t height = 0;
-  try {
-    std::size_t used = 0;
-    width = std::stoll(text.substr(0, x), &used);
-    if (used != x) return bad();
-    const std::string rest = text.substr(x + 1);
-    height = std::stoll(rest, &used);
-    if (used != rest.size()) return bad();
-  } catch (const std::exception&) {
-    return bad();
-  }
-  if (width < 1 || height < 1) return bad();
-  req.array_width = width;
-  req.array_height = height;
+  std::tie(req.array_width, req.array_height) = *geometry;
   return util::Unit{};
 }
 

@@ -22,13 +22,14 @@ namespace rota::util {
 /// \pre a > 0 && b > 0
 [[nodiscard]] std::int64_t lcm(std::int64_t a, std::int64_t b);
 
-/// ceil(a / b) for positive integers. Inline: the cost model calls it
-/// for every candidate mapping the mapper prices.
+/// ceil(a / b) for positive integers, exact up to INT64_MAX (no a + b - 1
+/// intermediate). Inline: the cost model calls it for every candidate
+/// mapping the mapper prices.
 /// \pre a >= 0 && b > 0
 [[nodiscard]] inline std::int64_t ceil_div(std::int64_t a, std::int64_t b) {
   ROTA_REQUIRE(a >= 0, "ceil_div numerator must be non-negative");
   ROTA_REQUIRE(b > 0, "ceil_div denominator must be positive");
-  return (a + b - 1) / b;
+  return a / b + (a % b != 0 ? 1 : 0);
 }
 
 /// Smallest multiple of `multiple` that is >= `value`.

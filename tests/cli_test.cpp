@@ -106,6 +106,42 @@ TEST(CliParse, BadValuesRejected) {
   EXPECT_THROW(parse({"wear", "Sqz", "--nope"}), precondition_error);
 }
 
+TEST(CliParse, NumbersAreReadWholeAndInRange) {
+  // Each used to be clamped or half-read; now each is a usage error
+  // (exit 2) that names its flag.
+  const std::vector<std::vector<std::string>> rejected = {
+      {"wear", "Sqz", "--iters", "99999999999999999999"},
+      {"mc", "Sqz", "--trials", "99999999999999999999"},
+      {"wear", "Sqz", "--seed", "99999999999999999999999"},
+      {"wear", "Sqz", "--array", "99999999999999999999x12"},
+      {"wear", "Sqz", "--seed", "010"},  // octal 8 before
+      {"wear", "Sqz", "--seed", "+5"},
+      {"wear", "Sqz", "--seed", " 5"},
+      {"wear", "Sqz", "--iters", "+5"},
+      {"wear", "Sqz", "--iters", " 5"},
+      {"wear", "Sqz", "--array", "+14x12"},
+      {"wear", "Sqz", "--array", "14x 12"},
+      {"degrade", "AN", "--retire", "+0.5"},
+      {"degrade", "AN", "--retire", " 0.5"},
+  };
+  for (const auto& args : rejected) {
+    const std::string& flag = args[2];
+    try {
+      (void)parse(args);
+      ADD_FAILURE() << flag << " '" << args[3] << "' was accepted";
+    } catch (const precondition_error& e) {
+      EXPECT_NE(std::string(e.what()).find(flag), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(parse({"wear", "Sqz", "--seed", "0x526f5441"}).seed, 0x526f5441u);
+  EXPECT_EQ(parse({"wear", "Sqz", "--seed", "0"}).seed, 0u);
+  EXPECT_EQ(parse({"wear", "Sqz", "--seed", "18446744073709551615"}).seed,
+            18446744073709551615ULL);
+  EXPECT_EQ(parse({"wear", "Sqz", "--iters", "9223372036854775807"}).iterations,
+            9223372036854775807LL);
+}
+
 TEST(CliParse, OptionsAreSubcommandScoped) {
   // A flag that exists but belongs to a different verb is rejected with a
   // message naming the verb, not silently ignored.

@@ -205,6 +205,49 @@ TEST(Degrade, StaleCheckpointIsRefused) {
       util::precondition_error);
 }
 
+TEST(Degrade, BadPendingOrOplogTokenIsRefused) {
+  TempDir dir;
+  const std::string ckpt = dir.file("tokens.ckpt");
+  // Stopped at 30: pe=5,5@20 is in the remapper log, pe=8,3@40 pending.
+  const DegradeOptions original = base_options({"pe=5,5@20", "pe=8,3@40"});
+  DegradeOptions opt = original;
+  opt.checkpoint_path = ckpt;
+  opt.checkpoint_every = 10;
+  ASSERT_TRUE(run_degraded_lifetime(arch::rota_like(), alexnet(), opt,
+                                    [](std::int64_t it) { return it >= 30; })
+                  .interrupted);
+  auto loaded = load_checkpoint(ckpt);
+  ASSERT_TRUE(loaded.ok());
+  const Checkpoint good = std::move(loaded).take();
+  ASSERT_EQ(good.fields.at("oplog"), "F 5 5\n");
+  const std::string pending = good.fields.at("pending");
+  ASSERT_EQ(pending.rfind("40 0 0 8 3 ", 0), 0u) << pending;
+
+  DegradeOptions resume = original;
+  resume.resume = &good;
+  EXPECT_TRUE(
+      run_degraded_lifetime(arch::rota_like(), alexnet(), resume).resumed);
+
+  // Each payload used to be read up to its first bad token, dropping the
+  // rest: a resumed run that silently lost a fault or a remap.
+  const std::pair<const char*, std::string> bad_payloads[] = {
+      {"pending", pending + "60 0 0 2 9 x 0\n"},
+      {"pending", "40 0 0 8 3 0\n"},
+      {"pending", "40 0 0 8 3 0 0"},  // unterminated line
+      {"oplog", "F 5 x\n"},
+      {"oplog", "F 5 5 7\n"},
+      {"oplog", "F 5 5\nR 1\n"},
+  };
+  for (const auto& [field, payload] : bad_payloads) {
+    Checkpoint bad = good;
+    bad.fields[field] = payload;
+    resume.resume = &bad;
+    EXPECT_THROW(run_degraded_lifetime(arch::rota_like(), alexnet(), resume),
+                 util::precondition_error)
+        << field << " = '" << payload << "'";
+  }
+}
+
 // ------------------------------------------------------ golden timelines
 
 /// FNV-1a over `text`, as 16 hex digits.
@@ -284,14 +327,15 @@ TEST(Degrade, GoldenTimelinesMatchTheIterationByIterationEngine) {
         << to_string(g.options.mode);
   }
 
-  // An autosaved checkpoint blob is byte-identical too.
+  // An autosaved checkpoint blob is byte-identical too (envelope v2: the
+  // v1 bytes with a "v2" header and a digest line before "end").
   TempDir dir;
   DegradeOptions opt = experiments_plan(16384);
   opt.checkpoint_path = dir.file("golden.ckpt");
   opt.checkpoint_every = 512;
   (void)run_degraded_lifetime(arch::rota_like(), alexnet(), opt);
   EXPECT_EQ(fnv1a_hex(util::read_text_file(opt.checkpoint_path)),
-            "62617e03cb3ae0eb");
+            "31a9882c50b6e52b");
 }
 
 // ------------------------------------------------- exhaustion / retirement

@@ -4,13 +4,17 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <future>
 #include <initializer_list>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "arch/config.hpp"
@@ -24,7 +28,10 @@
 #include "fi/plan.hpp"
 #include "nn/workloads.hpp"
 #include "par/parallel.hpp"
+#include "sched/mapper.hpp"
+#include "svc/cache.hpp"
 #include "svc/engine.hpp"
+#include "util/encode.hpp"
 #include "util/io.hpp"
 #include "util/result.hpp"
 #include "util/retry.hpp"
@@ -99,6 +106,16 @@ TEST(FiPlan, SoftwareSpecRejectsBadInput) {
   EXPECT_FALSE(parse_software_plan("match=").ok());
   EXPECT_EQ(parse_software_plan("read=2").error().code,
             ErrorCode::kInvalidArgument);
+  // Numbers are read whole: no leading whitespace, no '+', no NaN rate.
+  for (const char* bad : {"read=+0.5", "read= 0.5", "read=nan", "read=1e999",
+                          "stall_ms=+3", "stall_ms= 3", "seed=+1"}) {
+    EXPECT_FALSE(parse_software_plan(bad).ok()) << bad;
+  }
+  // Underflow is strtod's value, not an errno rejection.
+  auto tiny = parse_software_plan("read=1e-310,corrupt=0x1p-2");
+  ASSERT_TRUE(tiny.ok()) << tiny.error().message;
+  EXPECT_EQ(tiny.value().read_fail_rate, 1e-310);
+  EXPECT_EQ(tiny.value().corrupt_rate, 0.25);
 }
 
 TEST(FiPlan, HardwareFaultGrammarRoundTrips) {
@@ -120,7 +137,10 @@ TEST(FiPlan, HardwareFaultGrammarRoundTrips) {
 TEST(FiPlan, HardwareFaultRejectsBadSpecs) {
   for (const char* spec :
        {"", "pe=3,4", "pe=3@10", "pe=-1,2@10", "pe=1,2@0", "pe=1,2@5+0",
-        "rank=-1@10", "rank=1", "weibull=0", "weibull=x", "die=1@2"}) {
+        "rank=-1@10", "rank=1", "weibull=0", "weibull=x", "die=1@2",
+        "pe=+3,4@10", "pe= 3,4@10", "pe=3, 4@10", "pe=3,4@+10",
+        "pe=3,4@10+ 5", "rank=+2@100", "weibull=+6", "weibull= 6",
+        "pe=3,4@99999999999999999999"}) {
     auto parsed = parse_hardware_fault(spec);
     EXPECT_FALSE(parsed.ok()) << spec;
   }
@@ -354,6 +374,42 @@ TEST(FiCheckpoint, DecodeRejectsEveryCorruption) {
   EXPECT_FALSE(decode_checkpoint(good + "trailing").ok());
   EXPECT_EQ(decode_checkpoint("junk").error().code,
             ErrorCode::kInvalidArgument);
+}
+
+/// `body` (header through the last field) completed with its digest line
+/// and end marker, as encode_checkpoint would seal it.
+std::string sealed(const std::string& body) {
+  char tail[40];
+  std::snprintf(tail, sizeof tail, "digest %016llx\nend\n",
+                static_cast<unsigned long long>(util::fnv1a64(body)));
+  return body + tail;
+}
+
+TEST(FiCheckpoint, OversizedOrNegativeFieldSizesAreCorruptNotAllocated) {
+  // A declared size is read strictly and checked against the bytes left
+  // before anything is allocated for it, even under a valid digest.
+  const std::string header =
+      "rota-checkpoint v2\nkind mc\nfingerprint f\nprogress 0\n";
+  ASSERT_TRUE(decode_checkpoint(sealed(header + "field sum 6\n0x1p+3\n")).ok());
+  for (const char* size : {"-1", "99999999999", "4000000000",
+                           "18446744073709551615", "+6", " 6", "0x6", "7"}) {
+    const auto decoded = decode_checkpoint(
+        sealed(header + "field sum " + size + "\n0x1p+3\n"));
+    ASSERT_FALSE(decoded.ok()) << size;
+    EXPECT_EQ(decoded.error().code, ErrorCode::kInvalidArgument) << size;
+    EXPECT_NE(decoded.error().message.find("corrupt checkpoint"),
+              std::string::npos)
+        << decoded.error().message;
+  }
+}
+
+TEST(FiCheckpoint, VersionOneRecordsAreAnUnsupportedVersion) {
+  const auto decoded = decode_checkpoint(
+      "rota-checkpoint v1\nkind mc\nfingerprint f\nprogress 0\nend\n");
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_NE(decoded.error().message.find("unsupported checkpoint version 'v1'"),
+            std::string::npos)
+      << decoded.error().message;
 }
 
 TEST(FiCheckpoint, SaveLoadRoundTripsAndMissingIsNotFound) {
@@ -704,6 +760,95 @@ TEST(FiAcceptance, CheckpointForDifferentWorkIsRefused) {
   EXPECT_THROW(run_cli({"mc", "Sqz", "--iters", "20", "--trials", "100000",
                         "--checkpoint", ckpt}),
                util::precondition_error);
+}
+
+TEST(FiAcceptance, NegativeFieldSizeIsACorruptCheckpointNotACrash) {
+  TempDir dir;
+  const std::string ckpt = dir.file("mc.ckpt");
+  util::write_text_file(ckpt, sealed("rota-checkpoint v2\nkind mc\n"
+                                     "fingerprint f\nprogress 0\n"
+                                     "field sum -1\n0x1p+3\n"));
+  cli::clear_interrupt();
+  try {
+    (void)run_cli({"mc", "Sqz", "--iters", "2", "--trials", "100",
+                   "--checkpoint", ckpt});
+    ADD_FAILURE() << "a corrupt checkpoint was accepted";
+  } catch (const util::precondition_error& e) {  // exit 2, not 3
+    EXPECT_NE(std::string(e.what()).find("corrupt checkpoint"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(FiAcceptance, EveryFlippedOrCutByteOfARecordIsDetected) {
+  TempDir dir;
+  // One record of each kind rota reads back, each made by its writer.
+  const auto interrupted_record = [&](std::vector<std::string> args) {
+    const std::string path = dir.file(args[0] + ".ckpt");
+    args.insert(args.end(), {"--checkpoint", path});
+    cli::clear_interrupt();
+    cli::simulate_interrupt_after(1);
+    EXPECT_EQ(run_cli(args).first, cli::kExitInterrupted);
+    cli::clear_interrupt();
+    return util::read_text_file(path);
+  };
+  const std::string mc = interrupted_record(
+      {"mc", "Sqz", "--iters", "20", "--trials", "100000"});
+  const std::string sweep = interrupted_record({"sweep", "--iters", "30"});
+
+  DegradeOptions degrade = small_inject(64, 1, {"pe=3,4@10", "pe=6,6@30+100"});
+  degrade.checkpoint_path = dir.file("degrade.ckpt");
+  degrade.checkpoint_every = 16;
+  (void)run_inject(degrade);
+  const std::string degrade_record =
+      util::read_text_file(degrade.checkpoint_path);
+
+  const arch::AcceleratorConfig accel = arch::rota_like();
+  sched::Mapper mapper(accel, sched::ObjectiveSpec{});
+  const nn::Network net = nn::workload_by_abbr("Sqz");
+  const auto& layer = net.layers().at(3);
+  const svc::ScheduleCacheKey key = svc::ScheduleCacheKey::of(
+      accel, sched::LayerShapeKey::of(layer), mapper.options(),
+      mapper.objective(), mapper.array_state().digest());
+  const std::string entry =
+      svc::encode_cache_entry(key, mapper.schedule_layer(layer));
+
+  const auto checkpoint_error = [](const std::string& bytes) {
+    const auto decoded = decode_checkpoint(bytes);
+    return decoded.ok() ? std::optional<ErrorCode>{}
+                        : std::optional<ErrorCode>{decoded.error().code};
+  };
+  const auto entry_error = [&key](const std::string& bytes) {
+    const auto decoded = svc::decode_cache_entry(bytes, key);
+    return decoded.ok() ? std::optional<ErrorCode>{}
+                        : std::optional<ErrorCode>{decoded.error().code};
+  };
+  using Decoder = std::function<std::optional<ErrorCode>(const std::string&)>;
+  const std::tuple<const char*, std::string, Decoder> records[] = {
+      {"schedule-cache", entry, entry_error},
+      {"mc", mc, checkpoint_error},
+      {"sweep", sweep, checkpoint_error},
+      {"degrade", degrade_record, checkpoint_error},
+  };
+  for (const auto& [name, good, error_of] : records) {
+    ASSERT_FALSE(error_of(good).has_value()) << name;
+    std::vector<std::size_t> undetected;
+    for (std::size_t pos = 0; pos < good.size(); ++pos) {
+      std::string flipped = good;
+      flipped[pos] = static_cast<char>(flipped[pos] ^ 0x5a);
+      if (error_of(flipped) != ErrorCode::kInvalidArgument)
+        undetected.push_back(pos);
+    }
+    EXPECT_TRUE(undetected.empty())
+        << name << ": " << undetected.size() << " of " << good.size()
+        << " flipped bytes decoded, first at " << undetected.front();
+    std::size_t decoded_cuts = 0;
+    for (std::size_t cut = 0; cut < good.size(); ++cut) {
+      if (error_of(good.substr(0, cut)) != ErrorCode::kInvalidArgument)
+        ++decoded_cuts;
+    }
+    EXPECT_EQ(decoded_cuts, 0u) << name;
+  }
 }
 
 // ---------------------------------------- static dead-PE map from faults ----

@@ -255,6 +255,28 @@ TEST(MonteCarlo, RejectsDegenerateInput) {
   EXPECT_THROW((void)monte_carlo_mttf({1.0}, 3.4, 1.0, 0), precondition_error);
 }
 
+TEST(MonteCarlo, ChunkCountDoesNotWrapAtInt64Max) {
+  // INT64_MAX trials is ceil(INT64_MAX / chunk) chunks, not a wrapped
+  // negative count that ends the run at once with MTTF 0.
+  McPartial partial;
+  EXPECT_TRUE(monte_carlo_mttf_step({1.0, 0.3}, 3.4, 1.0,
+                                    std::numeric_limits<std::int64_t>::max(),
+                                    42, 1, &partial, 1));
+  EXPECT_EQ(partial.next_chunk, 1);
+  EXPECT_GT(partial.sum, 0.0);
+  EXPECT_THROW((void)monte_carlo_mttf_finalize(
+                   partial, std::numeric_limits<std::int64_t>::max()),
+               precondition_error);
+  // The last chunk holds the 4095 trials left below INT64_MAX.
+  McPartial last;
+  last.next_chunk =
+      std::numeric_limits<std::int64_t>::max() / kMonteCarloChunkTrials;
+  EXPECT_FALSE(monte_carlo_mttf_step({1.0, 0.3}, 3.4, 1.0,
+                                     std::numeric_limits<std::int64_t>::max(),
+                                     42, 1, &last, 1));
+  EXPECT_GT(last.sum, 0.0);
+}
+
 // ---------------------------------------------------- process variation ----
 
 TEST(Variation, ZeroSigmaRecoversEq4) {

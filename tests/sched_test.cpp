@@ -632,6 +632,15 @@ TEST(Serialize, RejectsMalformedInput) {
     std::stringstream buf("layer,x,y,tiles\n");  // no rows
     EXPECT_THROW(read_schedule_csv(buf, cfg), precondition_error);
   }
+  // Cells are read whole: no leading whitespace, no '+', no clamped
+  // integer, no double that overflows to inf.
+  for (const char* row : {"c,+8,8,4,1", "c, 8,8,4,1", "c,8,8,+4,1",
+                          "c,8,8,99999999999999999999,1", "c,8,8,4,1e999",
+                          "c,8,8,4, 1"}) {
+    std::stringstream buf(std::string("layer,x,y,tiles,energy\n") + row +
+                          "\n");
+    EXPECT_THROW(read_schedule_csv(buf, cfg), precondition_error) << row;
+  }
 }
 
 TEST(NetworkSchedule, AggregatesAreConsistent) {
@@ -666,7 +675,9 @@ TEST(Objective, ParseAndIdRoundTrip) {
             "0.2,0.7,0.1");
   for (const char* bad : {"", "speed", "weighted:", "weighted:1,2",
                           "weighted:-1,0,1", "weighted:0,0,0",
-                          "weighted:1,nan,0"}) {
+                          "weighted:1,nan,0", "weighted: 1,0,0",
+                          "weighted:+1,0,0", "weighted:1,0, 0",
+                          "weighted:1e999,0,0"}) {
     EXPECT_FALSE(parse_objective(bad).ok()) << bad;
   }
 }

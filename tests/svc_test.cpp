@@ -194,9 +194,14 @@ TEST(SvcRequest, StructuredRejections) {
             ErrorCode::kInvalidArgument);
   EXPECT_EQ(code_of(R"({"schema_version":2,"op":"schedule"})"),
             ErrorCode::kInvalidArgument);  // needs workload
-  EXPECT_EQ(code_of(R"({"schema_version":2,"op":"wear","workload":"Sqz",)"
-                    R"("array":"0x9"})"),
-            ErrorCode::kInvalidArgument);
+  for (const char* array :
+       {"0x9", " 14x12", "+14x12", "14x 12", "14x+12", "14x12 ", "14x12x1",
+        "99999999999999999999x12"}) {
+    EXPECT_EQ(code_of(std::string(R"({"schema_version":2,"op":"wear",)") +
+                      R"("workload":"Sqz","array":")" + array + "\"}"),
+              ErrorCode::kInvalidArgument)
+        << array;
+  }
   EXPECT_EQ(code_of(R"({"schema_version":2,"op":"wear","workload":"Sqz",)"
                     R"("iters":0})"),
             ErrorCode::kInvalidArgument);

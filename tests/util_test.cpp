@@ -1,12 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <numeric>
+#include <optional>
 #include <sstream>
 
 #include "util/check.hpp"
@@ -69,6 +71,13 @@ TEST(Math, CeilDiv) {
   EXPECT_EQ(ceil_div(6, 5), 2);
   EXPECT_THROW((void)ceil_div(1, 0), precondition_error);
   EXPECT_THROW((void)ceil_div(-1, 2), precondition_error);
+  // No a + b - 1 intermediate: exact up to INT64_MAX.
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  EXPECT_EQ(ceil_div(kMax, 1), kMax);
+  EXPECT_EQ(ceil_div(kMax, 2), kMax / 2 + 1);
+  EXPECT_EQ(ceil_div(kMax, 4096), kMax / 4096 + 1);
+  EXPECT_EQ(ceil_div(kMax - 1, kMax), 1);
+  EXPECT_EQ(ceil_div(kMax, kMax), 1);
 }
 
 TEST(Math, RoundUp) {
@@ -102,6 +111,95 @@ TEST(Encode, HexfloatRoundTripsBitForBit) {
   EXPECT_EQ(hexfloat(-0.5), "-0x1p-1");
   for (const double v : {0.1, -1e-310, std::numeric_limits<double>::max()}) {
     EXPECT_EQ(std::strtod(hexfloat(v).c_str(), nullptr), v) << hexfloat(v);
+  }
+}
+
+TEST(Encode, StrictReadersAcceptOnlyTheWholeNumber) {
+  struct Case {
+    const char* text;
+    std::optional<std::int64_t> i64;
+    std::optional<std::uint64_t> u64;
+  };
+  constexpr std::uint64_t kU64Max = std::numeric_limits<std::uint64_t>::max();
+  const Case cases[] = {
+      {"0", 0, 0},
+      {"42", 42, 42},
+      {"-7", -7, std::nullopt},
+      {"-0", 0, std::nullopt},
+      {"9223372036854775807", std::numeric_limits<std::int64_t>::max(),
+       9223372036854775807ULL},
+      {"-9223372036854775808", std::numeric_limits<std::int64_t>::min(),
+       std::nullopt},
+      {"18446744073709551615", std::nullopt, kU64Max},
+      // Out of range: rejected, never clamped.
+      {"9223372036854775808", std::nullopt, 9223372036854775808ULL},
+      {"18446744073709551616", std::nullopt, std::nullopt},
+      {"99999999999999999999", std::nullopt, std::nullopt},
+      // Not the whole input.
+      {"", std::nullopt, std::nullopt},
+      {" 5", std::nullopt, std::nullopt},
+      {"\t5", std::nullopt, std::nullopt},
+      {"5 ", std::nullopt, std::nullopt},
+      {"+5", std::nullopt, std::nullopt},
+      {"5x", std::nullopt, std::nullopt},
+      {"1.0", std::nullopt, std::nullopt},
+      {"-", std::nullopt, std::nullopt},
+      // Hex is u64-only; a leading zero never means octal.
+      {"0x526f5441", std::nullopt, 0x526f5441ULL},
+      {"0XFF", std::nullopt, 0xffULL},
+      {"0xffffffffffffffff", std::nullopt, kU64Max},
+      {"0x10000000000000000", std::nullopt, std::nullopt},
+      {"0x", std::nullopt, std::nullopt},
+      {"0x-1", std::nullopt, std::nullopt},
+      {"0x 1", std::nullopt, std::nullopt},
+      {"010", 10, std::nullopt},
+      {"00", 0, std::nullopt},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(parse_i64(c.text), c.i64) << "'" << c.text << "'";
+    EXPECT_EQ(parse_u64(c.text), c.u64) << "'" << c.text << "'";
+  }
+  EXPECT_EQ(parse_i64(std::string_view("12\0", 3)), std::nullopt);
+}
+
+TEST(Encode, StrictF64ReadsWhatStrtodReadsAndNothingAround) {
+  EXPECT_EQ(parse_f64("0.5"), 0.5);
+  EXPECT_EQ(parse_f64("-1e3"), -1000.0);
+  EXPECT_EQ(parse_f64("1e-400"), 0.0);  // underflow is strtod's value
+  EXPECT_TRUE(std::isinf(*parse_f64("inf")));  // callers check finiteness
+  EXPECT_TRUE(std::isnan(*parse_f64("nan")));
+  for (const char* bad : {"", " 1", "+1", "1 ", "1e", "0.5x", "1e999",
+                          "-1e999", "0x1p+99999", "--1", "."}) {
+    EXPECT_EQ(parse_f64(bad), std::nullopt) << "'" << bad << "'";
+  }
+  // %a round-trips bit for bit, subnormals and -0.0 included.
+  const double values[] = {0.1,
+                           -0.0,
+                           0.0,
+                           std::numeric_limits<double>::denorm_min(),
+                           -1e-310,
+                           std::numeric_limits<double>::min(),
+                           std::numeric_limits<double>::max(),
+                           -std::numeric_limits<double>::max(),
+                           1.0 / 3.0};
+  for (const double v : values) {
+    const auto back = parse_f64(hexfloat(v));
+    ASSERT_TRUE(back.has_value()) << hexfloat(v);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(*back),
+              std::bit_cast<std::uint64_t>(v))
+        << hexfloat(v);
+  }
+}
+
+TEST(Encode, GeometryReaderNeedsTwoPositiveIntegers) {
+  EXPECT_EQ(parse_geometry("14x12"), std::make_pair(std::int64_t{14},
+                                                    std::int64_t{12}));
+  EXPECT_EQ(parse_geometry("1x1"), std::make_pair(std::int64_t{1},
+                                                  std::int64_t{1}));
+  for (const char* bad :
+       {"", "14", "x12", "14x", "0x4", "4x0", "-1x4", "+14x12", " 14x12",
+        "14x 12", "14x12 ", "14x12x1", "14X12", "99999999999999999999x12"}) {
+    EXPECT_EQ(parse_geometry(bad), std::nullopt) << "'" << bad << "'";
   }
 }
 
